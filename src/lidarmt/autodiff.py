@@ -487,15 +487,17 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
 
     `pairs[t] = (in_rows, out_rows)` routes features (M, Cin) through
     kernel (T, Cin, Cout) into an (n_out, Cout) accumulator. Taps with no
-    pairs may pass empty arrays. Bias, when given, is added to every
-    output row (submanifold/strided conv semantics: every active output
-    site gets the bias exactly once).
+    pairs may pass empty arrays. Within one tap, in_rows and out_rows must
+    each hold no duplicates (conv rulebooks do so by construction): the
+    accumulation is then a plain indexed add, exactly like np.add.at. Bias,
+    when given, is added to every output row (submanifold/strided conv
+    semantics: every active output site gets the bias exactly once).
     """
     t_taps, cin, cout = kernel.data.shape
     out = np.zeros((n_out, cout), dtype=np.float64)
     for t, (rin, rout) in enumerate(pairs):
         if len(rin):
-            np.add.at(out, rout, features.data[rin] @ kernel.data[t])
+            out[rout] += features.data[rin] @ kernel.data[t]
     if bias is not None:
         out += bias.data
 
@@ -507,7 +509,7 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
                 continue
             gslice = g[rout]
             if gf is not None:
-                np.add.at(gf, rin, gslice @ kernel.data[t].T)
+                gf[rin] += gslice @ kernel.data[t].T
             if gk is not None:
                 gk[t] += features.data[rin].T @ gslice
         gb = g.sum(axis=0) if bias is not None else None

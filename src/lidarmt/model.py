@@ -174,8 +174,9 @@ class Model:
         return sparse.gather_from_dense(dense, coords,
                                         (bev.hw[1], bev.hw[0], self.n_heights))
 
-    def forward(self, sample: SceneSample, collector=None) -> ForwardOut:
-        frame = self.voxelize(sample)
+    def forward(self, sample: SceneSample, collector=None, frame=None) -> ForwardOut:
+        """`frame`, when given, is `self.voxelize(sample)` computed earlier."""
+        frame = self.voxelize(sample) if frame is None else frame
         kept_feats = sample.points[frame.kept].astype(np.float64)
         feats = vx.voxel_feature_encode(frame, kept_feats, self.vfe)
         full = sparse.SparseVoxelTensor(frame.indices, feats, self.grid.dims)

@@ -2,9 +2,11 @@
 lossless mappings between sparse voxel space and dense arrays.
 
 Coordinates are (x, y, z) integer triples inside a (W, H, D) grid, packed
-to a 64-bit linear key (z*H + y)*W + x. Row lookup is a binary search over
-the sorted keys, which vectorizes; the mapping surface behaves like an
-exact hash (collision-free within the grid).
+to a 64-bit linear key (z*H + y)*W + x. Convolution rulebooks come from a
+dense lookup grid padded by one cell: each source row is written at its
+linear key, and one fancy index reads all 27 neighbour rows of every output
+site. `rows_of` (a binary search over the sorted keys) remains for ad-hoc
+queries.
 
 Convolutions are cross-correlations: out[p] = sum_t K[t] . in[p + off_t],
 with taps enumerated row-major over (dx, dy, dz) in {-1, 0, 1}^3.
@@ -150,21 +152,31 @@ def _cached(key, build):
     return out
 
 
-def _conv_pairs(tensor: SparseVoxelTensor, out_coords: np.ndarray,
-                out_shape: tuple, stride: int):
-    """Per-tap (input rows, output rows) route for a 3x3x3 correlation."""
-    def build():
-        pairs = []
-        for off in KERNEL_OFFSETS:
-            want = out_coords * stride + off
-            rows, found = tensor.rows_of(want)
-            out_rows = np.nonzero(found)[0]
-            pairs.append((rows[found], out_rows))
-        return pairs
+def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
+              grid_shape) -> list:
+    """Per-tap (source rows, query rows) where sources[s] == queries[q] + offsets[t].
 
+    Sources and queries are unique positions inside grid_shape, so neither
+    row array of a tap holds a duplicate. A lookup grid padded by one cell
+    holds each source's row (-1 where empty); one fancy index reads all taps.
+    """
+    dims = np.asarray(grid_shape) + 2
+    grid = np.full(int(np.prod(dims)), -1, dtype=np.int64)
+    grid[pack_coords(sources + 1, dims)] = np.arange(len(sources))
+    nbr = grid[pack_coords(offsets, dims)[:, None] + pack_coords(queries + 1, dims)]
+    pairs = []
+    for rows in nbr:
+        hit = np.nonzero(rows >= 0)[0]
+        pairs.append((rows[hit], hit))
+    return pairs
+
+
+def _conv_pairs(tensor: SparseVoxelTensor, out_coords: np.ndarray, stride: int):
+    """Per-tap (input rows, output rows) route for a 3x3x3 correlation."""
     key = ("conv", tensor.spatial_shape, stride, tensor._keys.tobytes(),
            out_coords.tobytes())
-    return _cached(key, build)
+    return _cached(key, lambda: _rulebook(tensor.coords, out_coords * stride,
+                                          KERNEL_OFFSETS, tensor.spatial_shape))
 
 
 def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
@@ -173,7 +185,7 @@ def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
     if kernel.data.shape[:3] != (3, 3, 3) or kernel.data.shape[3] != t.num_channels:
         raise ValueError(f"kernel shape {kernel.data.shape} does not fit input")
     k = ad.reshape(kernel, (27, kernel.data.shape[3], kernel.data.shape[4]))
-    pairs = _conv_pairs(t, t.coords, t.spatial_shape, stride=1)
+    pairs = _conv_pairs(t, t.coords, stride=1)
     out = ad.tap_matmul_scatter(t.features, k, pairs, len(t), bias)
     return t.with_features(out)
 
@@ -197,7 +209,7 @@ def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
     else:
         out_coords = np.empty((0, 3), dtype=np.int64)
     k = ad.reshape(kernel, (27, kernel.data.shape[3], kernel.data.shape[4]))
-    pairs = _conv_pairs(t, out_coords, out_shape, stride=stride)
+    pairs = _conv_pairs(t, out_coords, stride=stride)
     out = ad.tap_matmul_scatter(t.features, k, pairs, len(out_coords), bias)
     return SparseVoxelTensor(out_coords, out, out_shape)
 
@@ -207,24 +219,15 @@ def upsample_conv3d(coarse: SparseVoxelTensor, fine_coords: np.ndarray,
                     bias: ad.Tensor) -> SparseVoxelTensor:
     """Transposed counterpart of strided_conv3d, restricted to known
     fine-scale coordinates: fine[f] += K[t] . coarse[o] wherever 2o + t = f."""
-    fine_coords = np.asarray(fine_coords, dtype=np.int64).reshape(-1, 3)
-
-    def build():
-        pairs = []
-        for off in KERNEL_OFFSETS:
-            cand = fine_coords - off
-            parity_ok = (cand % 2 == 0).all(axis=1)
-            source = cand // 2
-            rows, found = coarse.rows_of(source)
-            ok = parity_ok & found
-            pairs.append((rows[ok], np.nonzero(ok)[0]))
-        return pairs
-
-    pairs = _cached(("up", coarse.spatial_shape, coarse._keys.tobytes(),
-                     fine_coords.tobytes()), build)
+    # built first so that out-of-grid or duplicate fine sites fail before the lookup
+    fine = SparseVoxelTensor(fine_coords, np.zeros((len(fine_coords), 0)), fine_shape)
+    grid_shape = np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape))
+    key = ("up", coarse.spatial_shape, coarse._keys.tobytes(), fine.coords.tobytes())
+    pairs = _cached(key, lambda: _rulebook(2 * coarse.coords, fine.coords, -KERNEL_OFFSETS,
+                                           grid_shape))
     k = ad.reshape(kernel, (27, kernel.data.shape[3], kernel.data.shape[4]))
-    out = ad.tap_matmul_scatter(coarse.features, k, pairs, len(fine_coords), bias)
-    return SparseVoxelTensor(fine_coords, out, fine_shape)
+    out = ad.tap_matmul_scatter(coarse.features, k, pairs, len(fine), bias)
+    return fine.with_features(out)
 
 
 def scatter_to_dense(t: SparseVoxelTensor) -> ad.Tensor:

@@ -282,10 +282,14 @@ def evaluate(model: Model, samples: list[SceneSample], cfg: dict) -> dict:
 
 def infer(model: Model, sample: SceneSample, cfg: dict) -> dict:
     """Per-point labels for the input sample (0 where a point fell outside
-    the grid) and decoded boxes. Multi-frame configs get their history view;
-    predictions are reported for the current frame's points only."""
+    the grid; all 0 and no boxes when none fell inside) and decoded boxes.
+    Multi-frame configs get their history view; predictions are reported
+    for the current frame's points only."""
     view = training_view(sample, cfg, 0, cfg["train.seed"], allow_augment=False)
-    out = model.forward(view)
+    frame = model.voxelize(view)
+    if not frame.num_voxels:
+        return {"point_labels": [0] * len(sample.points), "boxes": []}
+    out = model.forward(view, frame=frame)
     pred_vox = np.argmax(out.seg_logits.data, axis=1).astype(np.int32) + 1
     point_pred = np.zeros(len(view.points), dtype=np.int32)
     point_pred[out.frame.kept] = vx.devoxelize(pred_vox, out.frame.point_to_voxel)

@@ -222,6 +222,32 @@ def test_infer_reports_current_frame_points_in_multi_frame_config():
     assert len(out["point_labels"]) == len(samples[0].points)
 
 
+@pytest.mark.parametrize("history", [0, 1])
+def test_infer_on_frames_with_no_voxel(history):
+    samples, _ = tiny_scenes(1)
+    cfg = tiny_cfg(**{"frames.history": history})
+    model = Model(cfg)
+    empty = data.SceneSample(points=np.zeros((0, 5), np.float32),
+                             labels=np.zeros(0, np.int32), boxes=[])
+    away = samples[0].points.copy()
+    away[:, :2] += 100.0
+    outside = data.SceneSample(points=away, labels=samples[0].labels, boxes=[])
+    for frame in (empty, outside):
+        out = tr.infer(model, frame, cfg)
+        assert out == {"point_labels": [0] * len(frame.points), "boxes": []}
+
+
+def test_infer_voxelizes_once(monkeypatch):
+    samples, cfg = tiny_scenes(1)
+    model = Model(cfg)
+    calls = []
+    voxelize = model.voxelize
+    monkeypatch.setattr(model, "voxelize", lambda s: calls.append(1) or voxelize(s))
+    out = tr.infer(model, samples[0], cfg)
+    assert len(calls) == 1
+    assert len(out["point_labels"]) == len(samples[0].points) and any(out["point_labels"])
+
+
 def test_multi_frame_jitter_is_bounded_and_deterministic():
     samples, _ = tiny_scenes(1)
     cfg = tiny_cfg(**{"frames.history": 1, "frames.jitter": 0.01})

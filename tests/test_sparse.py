@@ -255,3 +255,132 @@ def test_duplicate_coords_rejected():
 def test_out_of_shape_coords_rejected():
     with pytest.raises(sparse.CoordinateError):
         sparse.SparseVoxelTensor(np.array([[3, 0, 0]]), np.zeros((1, 1)), (3, 3, 3))
+
+
+# -- rulebooks -------------------------------------------------------------------
+
+
+def rows_of_conv_pairs(t, out_coords, stride):
+    """Reference conv rulebook: one rows_of binary search per tap."""
+    pairs = []
+    for off in sparse.KERNEL_OFFSETS:
+        rows, found = t.rows_of(out_coords * stride + off)
+        pairs.append((rows[found], np.nonzero(found)[0]))
+    return pairs
+
+
+def rows_of_up_pairs(coarse, fine_coords):
+    """Reference transposed-conv rulebook: fine f takes coarse o where 2o + off = f."""
+    pairs = []
+    for off in sparse.KERNEL_OFFSETS:
+        cand = fine_coords - off
+        rows, found = coarse.rows_of(cand // 2)
+        ok = (cand % 2 == 0).all(axis=1) & found
+        pairs.append((rows[ok], np.nonzero(ok)[0]))
+    return pairs
+
+
+def face_sparse(r, shape, n, cin=2):
+    """Random voxels plus at least one on each of the six grid faces."""
+    t = random_sparse(r, shape=shape, n=n)
+    coords = [tuple(c) for c in t.coords]
+    hi = np.array(shape) - 1
+    for axis in range(3):
+        for side in (0, hi[axis]):
+            c = np.array([r.integers(0, s) for s in shape])
+            c[axis] = side
+            coords.append(tuple(c))
+    coords = np.array(sorted(set(coords)), dtype=np.int64)
+    return sparse.SparseVoxelTensor(coords, r.normal(size=(len(coords), cin)), shape)
+
+
+def rulebook_cases():
+    r = rng(20)
+    shape = (6, 8, 4)
+    yield face_sparse(r, shape, 40), face_sparse(r, shape, 30).coords
+    yield face_sparse(r, (8, 4, 6), 5), face_sparse(r, (8, 4, 6), 60).coords
+    for corner in ([0, 0, 0], [5, 7, 3]):
+        single = sparse.SparseVoxelTensor(np.array([corner]), np.ones((1, 2)), shape)
+        yield single, single.coords
+    empty = sparse.SparseVoxelTensor(np.empty((0, 3)), np.empty((0, 2)), shape)
+    yield empty, empty.coords
+
+
+def assert_same_unique_pairs(got, want):
+    assert len(got) == len(want) == 27
+    for (gin, gout), (win, wout) in zip(got, want):
+        assert gin.dtype == win.dtype and gout.dtype == wout.dtype
+        np.testing.assert_array_equal(gin, win)
+        np.testing.assert_array_equal(gout, wout)
+        assert len(np.unique(gin)) == len(gin)
+        assert len(np.unique(gout)) == len(gout)
+
+
+def up_rulebook(coarse, fine_coords, fine_shape):
+    """The rulebook upsample_conv3d builds and caches for these sites."""
+    sparse._RULEBOOK_CACHE.clear()
+    cin = coarse.num_channels
+    sparse.upsample_conv3d(coarse, fine_coords, fine_shape,
+                           ad.Tensor(np.zeros((3, 3, 3, cin, 1))), ad.Tensor(np.zeros(1)))
+    (key, pairs), = sparse._RULEBOOK_CACHE.items()
+    assert key[0] == "up"
+    return pairs
+
+
+def test_rulebooks_match_rows_of_reference():
+    k = ad.Tensor(np.zeros((3, 3, 3, 2, 2)))
+    b = ad.Tensor(np.zeros(2))
+    for t, other in rulebook_cases():
+        sparse._RULEBOOK_CACHE.clear()
+        assert_same_unique_pairs(sparse._conv_pairs(t, t.coords, 1),
+                                 rows_of_conv_pairs(t, t.coords, 1))
+        coarse = sparse.strided_conv3d(t, k, b)
+        assert_same_unique_pairs(sparse._conv_pairs(t, coarse.coords, 2),
+                                 rows_of_conv_pairs(t, coarse.coords, 2))
+        # transposed conv onto the encoder's own fine sites, and onto an
+        # unrelated fine coordinate set (coarse sites with no fine child)
+        for fine_coords in (t.coords, other):
+            assert_same_unique_pairs(up_rulebook(coarse, fine_coords, t.spatial_shape),
+                                     rows_of_up_pairs(coarse, fine_coords))
+
+
+def test_upsample_rejects_bad_fine_sites_before_lookup():
+    coarse = sparse.SparseVoxelTensor(np.array([[1, 1, 1]]), np.ones((1, 2)), (2, 2, 2))
+    k = ad.Tensor(np.zeros((3, 3, 3, 2, 2)))
+    b = ad.Tensor(np.zeros(2))
+    for fine_coords in ([[0, 0, 9]], [[-1, 0, 0]], [[2, 2, 2], [2, 2, 2]]):
+        with pytest.raises(sparse.CoordinateError):
+            sparse.upsample_conv3d(coarse, np.array(fine_coords), (4, 4, 4), k, b)
+
+
+def add_at_reference(feats, kernel, bias, pairs, n_out, g):
+    """tap_matmul_scatter forward and vjp written with np.add.at."""
+    out = np.zeros((n_out, kernel.shape[2]))
+    gf = np.zeros_like(feats)
+    gk = np.zeros_like(kernel)
+    for t, (rin, rout) in enumerate(pairs):
+        if len(rin):
+            np.add.at(out, rout, feats[rin] @ kernel[t])
+            np.add.at(gf, rin, g[rout] @ kernel[t].T)
+            gk[t] += feats[rin].T @ g[rout]
+    return out + bias, gf, gk, g.sum(axis=0)
+
+
+def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
+    r = rng(21)
+    t = face_sparse(r, (6, 8, 4), 60, cin=3)
+    k = ad.Tensor(r.normal(size=(3, 3, 3, 3, 3)))
+    coarse = sparse.strided_conv3d(t, k, ad.Tensor(np.zeros(3)))
+    cases = [(t, sparse._conv_pairs(t, t.coords, 1), len(t)),
+             (t, sparse._conv_pairs(t, coarse.coords, 2), len(coarse)),
+             (coarse, up_rulebook(coarse, t.coords, t.spatial_shape), len(t))]
+    for src, pairs, n_out in cases:
+        feats = ad.parameter(src.features.data.copy())
+        kern = ad.parameter(r.normal(size=(27, 3, 4)))
+        bias = ad.parameter(r.normal(size=4))
+        g = r.normal(size=(n_out, 4))
+        out = ad.tap_matmul_scatter(feats, kern, pairs, n_out, bias)
+        ad.mul(out, ad.constant(g)).sum().backward()
+        want = add_at_reference(feats.data, kern.data, bias.data, pairs, n_out, g)
+        for got, ref in zip((out.data, feats.grad, kern.grad, bias.grad), want):
+            assert np.array_equal(got, ref)
