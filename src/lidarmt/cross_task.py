@@ -57,25 +57,50 @@ def init_mha(q_dim: int, kv_dim: int, out_dim: int, n_heads: int, head_dim: int,
 
 def attend(q_in: ad.Tensor, kv_in: ad.Tensor, p: MhaParams,
            mask: np.ndarray | None = None) -> ad.Tensor:
-    """Multi-head scaled dot-product attention over row sets.
+    """Multi-head scaled dot-product attention over row sets; True in the
+    (tq, tk) mask blocks a key.
 
     Scaling is 1/sqrt(head_dim); with a single head this is exactly
-    softmax(Q K^T / sqrt(C)) V followed by the output projection.
+    softmax(Q K^T / sqrt(C)) V followed by the output projection. The
+    per-head projections are re-associated onto the side with fewer rows, so
+    no (n_heads, T, head_dim) array is built for the many-row side:
+      few queries: logits_h = (Q_h Wk_h^T) kv^T + Q_h bk_h^T,
+                   ctx_h = (attn_h kv) Wv_h + bv_h   (attention rows sum to 1);
+      few keys:    logits_h = q (Wq_h K_h^T) + bq_h K_h^T,
+                   out = sum_h attn_h ((kv Wv_h + bv_h) Wo_h) + bo.
     """
-    tq = q_in.data.shape[0]
-    tk = kv_in.data.shape[0]
+    tq, tk = q_in.data.shape[0], kv_in.data.shape[0]
     nh, dh = p.n_heads, p.head_dim
-    q = ad.transpose(ad.reshape(q_in @ p.wq + p.bq, (tq, nh, dh)), (1, 0, 2))
-    k = ad.transpose(ad.reshape(kv_in @ p.wk + p.bk, (tk, nh, dh)), (1, 0, 2))
-    v = ad.transpose(ad.reshape(kv_in @ p.wv + p.bv, (tk, nh, dh)), (1, 0, 2))
-    logits = ad.mul(q @ ad.transpose(k, (0, 2, 1)), ad.constant(1.0 / np.sqrt(dh)))
-    if mask is not None:
-        logits = logits + ad.constant(np.where(mask, -1e30, 0.0))
-    attn = ad.softmax(logits, axis=-1)
-    rows = attn.data.sum(axis=-1)
-    assert np.abs(rows - 1.0).max() < 1e-6, "attention rows must sum to 1"
-    mixed = ad.reshape(ad.transpose(attn @ v, (1, 0, 2)), (tq, nh * dh))
-    return mixed @ p.wo + p.bo
+    scale = ad.constant(1.0 / np.sqrt(dh))
+    blocked = None if mask is None else np.where(mask, -1e30, 0.0)
+    if tq <= tk:
+        q = ad.mul(_split_heads(q_in @ p.wq + p.bq, nh, dh), scale)    # (nh, tq, dh)
+        # Wk_h on the left keeps the gradient of wk C-ordered for AdamW
+        q_wk = ad.transpose(_split_heads(p.wk, nh, dh) @ ad.transpose(q, (0, 2, 1)),
+                            (0, 2, 1))                                  # (nh, tq, d_kv)
+        logits = ad.reshape(q_wk, (nh * tq, -1)) @ ad.transpose(kv_in, (1, 0)) \
+            + ad.reshape(q @ ad.reshape(p.bk, (nh, dh, 1)), (nh * tq, 1))
+        if blocked is not None:
+            logits = logits + ad.constant(np.tile(blocked, (nh, 1)))
+        attn_kv = ad.reshape(ad.softmax(logits, axis=-1) @ kv_in, (nh, tq, -1))
+        ctx = attn_kv @ _split_heads(p.wv, nh, dh) + ad.reshape(p.bv, (nh, 1, dh))
+        return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tq, nh * dh)) @ p.wo + p.bo
+    k_t = ad.transpose(ad.mul(_split_heads(kv_in @ p.wk + p.bk, nh, dh), scale),
+                       (0, 2, 1))                                       # (nh, dh, tk)
+    wq_k = ad.transpose(_split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))    # (d_q, nh, tk)
+    bq_k = ad.reshape(p.bq, (nh, 1, dh)) @ k_t                          # (nh, 1, tk)
+    logits = ad.reshape(q_in @ ad.reshape(wq_k, (-1, nh * tk))
+                        + ad.reshape(bq_k, (1, nh * tk)), (tq, nh, tk))
+    if blocked is not None:
+        logits = logits + ad.constant(blocked[:, None, :])
+    v_wo = _split_heads(kv_in @ p.wv + p.bv, nh, dh) @ ad.reshape(p.wo, (nh, dh, -1))
+    attn = ad.reshape(ad.softmax(logits, axis=-1), (tq, nh * tk))
+    return attn @ ad.reshape(v_wo, (nh * tk, -1)) + p.bo
+
+
+def _split_heads(x: ad.Tensor, nh: int, dh: int) -> ad.Tensor:
+    """(rows, nh * dh) -> (nh, rows, dh), for activations and weights alike."""
+    return ad.transpose(ad.reshape(x, (-1, nh, dh)), (1, 0, 2))
 
 
 def init_class_embedding(pred: ad.Tensor, feats: ad.Tensor,
@@ -198,14 +223,6 @@ def init_cross_task(width: int, voxel_dim: int, bev_dim: int, grid_hw: tuple,
     return p
 
 
-def _window_rows(pos: np.ndarray, h: int, w: int, radius: int) -> np.ndarray:
-    u, v = int(pos[0]), int(pos[1])
-    us = np.arange(max(0, u - radius), min(w, u + radius + 1))
-    vs = np.arange(max(0, v - radius), min(h, v + radius + 1))
-    uu, vv = np.meshgrid(us, vs, indexing="xy")
-    return (vv.ravel() * w + uu.ravel()).astype(np.int64)
-
-
 def cross_task_layer(eps: ad.Tensor, centers: ad.Tensor | None,
                      voxels: ad.Tensor | None, bev_rows: ad.Tensor,
                      positions: np.ndarray, hw: tuple,
@@ -233,22 +250,13 @@ def cross_task_layer(eps: ad.Tensor, centers: ad.Tensor | None,
     new_centers = None
     if centers is not None:
         cen = tokens[np.arange(k, t)]
+        # one attention over the whole BEV; keys outside the query's
+        # window x window neighbourhood (Chebyshev distance) are masked
         h, w = hw
-        radius = window // 2
-        row_sets = [_window_rows(positions[qi], h, w, radius)
-                    for qi in range(cen.data.shape[0])]
-        if all(np.array_equal(r, row_sets[0]) for r in row_sets[1:]):
-            # common case at desk scale: the window covers the same cells
-            # for every query, so one batched attention is exact
-            keys = ad.gather_rows(bev_rows, row_sets[0])
-            cen = cen + attend(ad.layer_norm(cen), keys, p.center_cross)
-        else:
-            refined = []
-            for qi in range(cen.data.shape[0]):
-                qrow = cen[np.array([qi])]
-                keys = ad.gather_rows(bev_rows, row_sets[qi])
-                refined.append(attend(ad.layer_norm(qrow), keys, p.center_cross))
-            cen = cen + ad.concat(refined, axis=0)
+        cells = np.arange(h * w)
+        far = np.maximum(np.abs(positions[:, :1] - cells % w),
+                         np.abs(positions[:, 1:] - cells // w)) > window // 2
+        cen = cen + attend(ad.layer_norm(cen), bev_rows, p.center_cross, far)
         both = ad.concat([eps, cen], axis=0)
         both = both + apply_ffn(ad.layer_norm(both), p.ffn)
         eps = both[np.arange(k)]

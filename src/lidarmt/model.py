@@ -28,6 +28,10 @@ from .tasks import REG_CHANNELS, BevGeometry, LossWeights
 DOWNSAMPLE = 8  # three stride-2 stages
 
 
+class EmptyFrameError(ValueError):
+    """The frame holds no voxel: it is empty or every point is out of range."""
+
+
 @dataclass
 class ForwardOut:
     frame: vx.VoxelizedFrame
@@ -177,6 +181,8 @@ class Model:
     def forward(self, sample: SceneSample, collector=None, frame=None) -> ForwardOut:
         """`frame`, when given, is `self.voxelize(sample)` computed earlier."""
         frame = self.voxelize(sample) if frame is None else frame
+        if not frame.num_voxels:
+            raise EmptyFrameError("no point of the frame falls inside the voxel grid")
         kept_feats = sample.points[frame.kept].astype(np.float64)
         feats = vx.voxel_feature_encode(frame, kept_feats, self.vfe)
         full = sparse.SparseVoxelTensor(frame.indices, feats, self.grid.dims)

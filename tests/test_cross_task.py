@@ -293,3 +293,102 @@ def test_full_layer_gradient_check():
         + [t for _, t in pp.named_tensors(p.layers[0])] \
         + [t for _, t in pp.named_tensors(p.kernel_proj)]
     check_grads_sampled(f, tensors, n_per_tensor=3, rtol=1e-4, seed=2)
+
+
+def _random_mha(r, q_dim, kv_dim, out_dim, heads, head_dim):
+    """Attention parameters with every weight and bias drawn at random."""
+    p = xt.init_mha(q_dim, kv_dim, out_dim, heads, head_dim, r)
+    for t in (p.wo, p.bq, p.bk, p.bv, p.bo):
+        t.data[:] = r.normal(size=t.data.shape)
+    return p
+
+
+def _attend_reference(q_in, kv_in, p, mask=None):
+    """Per-head attention written out head by head, projections first."""
+    q = q_in @ p.wq.data + p.bq.data
+    k = kv_in @ p.wk.data + p.bk.data
+    v = kv_in @ p.wv.data + p.bv.data
+    heads = []
+    for h in range(p.n_heads):
+        cols = slice(h * p.head_dim, (h + 1) * p.head_dim)
+        logits = q[:, cols] @ k[:, cols].T / np.sqrt(p.head_dim)
+        if mask is not None:
+            logits = np.where(mask, -np.inf, logits)
+        attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+        attn /= attn.sum(axis=1, keepdims=True)
+        heads.append(attn @ v[:, cols])
+    return np.concatenate(heads, axis=1) @ p.wo.data + p.bo.data
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("tq,tk", [(3, 7), (7, 3), (5, 5)])
+def test_attend_matches_multi_head_reference_with_biases(tq, tk, masked):
+    r = rng(16)
+    p = _random_mha(r, q_dim=4, kv_dim=6, out_dim=5, heads=3, head_dim=2)
+    q_in = r.normal(size=(tq, 4))
+    kv_in = r.normal(size=(tk, 6))
+    mask = None
+    if masked:
+        mask = r.uniform(size=(tq, tk)) < 0.5
+        mask[np.arange(tq), r.integers(0, tk, size=tq)] = False  # one key per row stays
+    got = xt.attend(ad.Tensor(q_in), ad.Tensor(kv_in), p, mask)
+    np.testing.assert_allclose(got.data, _attend_reference(q_in, kv_in, p, mask),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("tq,tk", [(2, 5), (5, 2)])
+def test_attend_gradients_in_both_fold_orders(tq, tk):
+    r = rng(17)
+    p = _random_mha(r, q_dim=3, kv_dim=4, out_dim=3, heads=2, head_dim=2)
+    q_in = ad.parameter(r.normal(size=(tq, 3)))
+    kv_in = ad.parameter(r.normal(size=(tk, 4)))
+    mask = np.zeros((tq, tk), dtype=bool)
+    mask[0, 1] = True
+    w = ad.constant(r.normal(size=(tq, 3)))
+
+    def f():
+        return ad.mul(xt.attend(q_in, kv_in, p, mask), w).sum()
+
+    check_grads(f, [q_in, kv_in] + [t for _, t in pp.named_tensors(p)])
+
+
+def _window_rows(pos, h, w, radius):
+    u, v = int(pos[0]), int(pos[1])
+    us = np.arange(max(0, u - radius), min(w, u + radius + 1))
+    vs = np.arange(max(0, v - radius), min(h, v + radius + 1))
+    uu, vv = np.meshgrid(us, vs, indexing="xy")
+    return (vv.ravel() * w + uu.ravel()).astype(np.int64)
+
+
+@pytest.mark.parametrize("side,window", [(8, 7), (4, 3)])
+def test_center_window_attention_matches_per_query_loop(side, window):
+    """The masked center attention equals attending each query to the cells
+    of its own clipped window, one query at a time."""
+    r = rng(18)
+    c = 6
+    p = xt.init_cross_task(c, voxel_dim=5, bev_dim=c, grid_hw=(side, side), rng=r,
+                           n_layers=1, n_heads=2, head_dim=3, ffn_hidden=8,
+                           window=window, zero_residual=False)
+    layer = p.layers[0]
+    for t in (layer.center_cross.bq, layer.center_cross.bk, layer.center_cross.bv,
+              layer.center_cross.bo):
+        t.data[:] = r.normal(size=t.data.shape)
+    # identity self-attention and feed-forward leave only the center branch
+    for t in (layer.self_attn.wo, layer.self_attn.bo, layer.ffn.w2, layer.ffn.b2):
+        t.data[:] = 0.0
+    last, mid = side - 1, side // 2
+    positions = np.array([[0, 0], [last, 0], [0, last], [last, last],   # corners
+                          [mid, 0], [0, mid], [last, mid], [mid, last],  # edges
+                          [mid, mid], [1, mid - 1]])                     # centre
+    eps = ad.Tensor(r.normal(size=(3, c)))
+    cen = ad.Tensor(r.normal(size=(len(positions), c)))
+    bev_rows = ad.Tensor(r.normal(size=(side * side, c)))
+    _, got, _ = xt.cross_task_layer(eps, cen, None, bev_rows, positions, (side, side),
+                                    layer, window)
+    normed = ad.layer_norm(cen)
+    want = np.concatenate([
+        xt.attend(normed[np.array([qi])],
+                  ad.gather_rows(bev_rows, _window_rows(pos, side, side, window // 2)),
+                  layer.center_cross).data
+        for qi, pos in enumerate(positions)])
+    np.testing.assert_allclose(got.data, cen.data + want, rtol=1e-12, atol=1e-12)

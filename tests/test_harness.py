@@ -11,7 +11,7 @@ from lidarmt import config as cf
 from lidarmt import data
 from lidarmt import sparse
 from lidarmt import train as tr
-from lidarmt.model import Model
+from lidarmt.model import EmptyFrameError, Model
 
 from conftest import rng
 
@@ -222,19 +222,31 @@ def test_infer_reports_current_frame_points_in_multi_frame_config():
     assert len(out["point_labels"]) == len(samples[0].points)
 
 
-@pytest.mark.parametrize("history", [0, 1])
-def test_infer_on_frames_with_no_voxel(history):
+def frames_with_no_voxel():
+    """An empty frame and a frame with every point out of range."""
     samples, _ = tiny_scenes(1)
-    cfg = tiny_cfg(**{"frames.history": history})
-    model = Model(cfg)
     empty = data.SceneSample(points=np.zeros((0, 5), np.float32),
                              labels=np.zeros(0, np.int32), boxes=[])
     away = samples[0].points.copy()
     away[:, :2] += 100.0
-    outside = data.SceneSample(points=away, labels=samples[0].labels, boxes=[])
-    for frame in (empty, outside):
+    return empty, data.SceneSample(points=away, labels=samples[0].labels, boxes=[])
+
+
+@pytest.mark.parametrize("history", [0, 1])
+def test_infer_on_frames_with_no_voxel(history):
+    cfg = tiny_cfg(**{"frames.history": history})
+    model = Model(cfg)
+    for frame in frames_with_no_voxel():
         out = tr.infer(model, frame, cfg)
         assert out == {"point_labels": [0] * len(frame.points), "boxes": []}
+
+
+@pytest.mark.parametrize("decoder", [True, False])
+def test_forward_on_frames_with_no_voxel_raises_typed_error(decoder):
+    model = Model(tiny_cfg(**{"model.cross_task.enabled": decoder}))
+    for frame in frames_with_no_voxel():
+        with pytest.raises(EmptyFrameError, match="no point"):
+            model.forward(frame)
 
 
 def test_infer_voxelizes_once(monkeypatch):
@@ -293,6 +305,7 @@ def test_checkpoint_corrupt_magic(tmp_path):
         tr.load_model(tmp_path / "m.ckpt")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_training_divergence_aborts_with_dump(tmp_path):
     samples, _ = tiny_scenes(1)
     cfg = tiny_cfg(**{"train.peak_lr": 1e9, "train.div_factor": 1.0,
