@@ -22,7 +22,9 @@ r = np.random.default_rng(0)
 
 # the primitive: bilinear sampling on a feature slice
 m = r.normal(size=(4, 4, 2))
-print("bilinear at integer (2,1):", xs.bilinear_sample(m, np.array([[2.0, 1.0]])).data[0])
+at = ad.bilinear_sample(ad.Tensor(m[None]), ad.Tensor(np.array([[2.0, 1.0]])),
+                        np.zeros(1, dtype=np.int64))
+print("bilinear at integer (2,1):", at.data[0])
 print("           stored value  :", m[1, 2])
 
 # degenerate case: zero offsets + uniform weights = projected height mean

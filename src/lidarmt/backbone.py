@@ -18,7 +18,6 @@ class BackboneConfig:
     base_channels: int = 32
     stage_multipliers: tuple = (1, 2, 4, 4)
     convs_per_stage: int = 2
-    bev_levels: int = 2  # down/up levels in the 2D extractor
 
     def __post_init__(self):
         if len(self.stage_multipliers) != 4:
@@ -181,8 +180,7 @@ def bev_extract(bev: DenseBEVMap, p: BevExtractorParams) -> DenseBEVMap:
     d = ad.relu(channel_norm(ad.conv2d(d, p.mid.weight, p.mid.bias)))
     u = ad.relu(channel_norm(ad.conv2d(ad.upsample2x(d), p.up.weight, p.up.bias)))
     fused = ad.conv2d(ad.concat([c1, u], axis=0), p.fuse.weight, p.fuse.bias)
-    return DenseBEVMap(features=fused, n_heights=bev.n_heights,
-                       downsample=bev.downsample)
+    return DenseBEVMap(features=fused, n_heights=bev.n_heights)
 
 
 def aux_seg_head(features: ad.Tensor, head: LinearUnit) -> ad.Tensor:

@@ -37,7 +37,6 @@ def read_exact(f: BinaryIO, n: int) -> bytes:
 
 
 def write_header(f: BinaryIO, magic: bytes, version: int) -> None:
-    assert len(magic) == 8
     f.write(magic)
     f.write(struct.pack("<I", version))
 

@@ -91,16 +91,6 @@ class OffsetCollector:
         return np.concatenate(self.rows) if self.rows else np.empty((0, 9))
 
 
-def bilinear_sample(map_2d: ad.Tensor, loc) -> ad.Tensor:
-    """Sample one 2D feature slice (H, W, C) at fractional (u, v)."""
-    if not isinstance(map_2d, ad.Tensor):
-        map_2d = ad.Tensor(map_2d)
-    uv = loc if isinstance(loc, ad.Tensor) else ad.Tensor(np.atleast_2d(loc))
-    maps = ad.reshape(map_2d, (1,) + map_2d.data.shape)
-    out = ad.bilinear_sample(maps, uv, np.zeros(len(uv.data), dtype=np.int64))
-    return out
-
-
 def mh_deform_attn(queries: ad.Tensor, refs: np.ndarray, maps: ad.Tensor,
                    p: DeformAttnParams, collector: OffsetCollector | None = None,
                    query_meta: np.ndarray | None = None) -> ad.Tensor:
@@ -121,8 +111,6 @@ def mh_deform_attn(queries: ad.Tensor, refs: np.ndarray, maps: ad.Tensor,
     logits = ad.reshape(queries @ p.logit_w + p.logit_b, (q_count, nh, j * r))
     weights = ad.reshape(ad.softmax(logits, axis=-1), (q_count, nh, j, r))
     weights = ad.transpose(weights, (1, 0, 2, 3))                 # (Nh, Q, J, R)
-    wsum = weights.data.sum(axis=(2, 3))
-    assert np.abs(wsum - 1.0).max() < 1e-6, "attention weights must sum to 1"
 
     ref_wide = refs.reshape(1, q_count, 1, 1, 2)
     locs = ad.add(ad.constant(ref_wide), off)                     # (Nh, Q, J, R, 2)
@@ -130,17 +118,17 @@ def mh_deform_attn(queries: ad.Tensor, refs: np.ndarray, maps: ad.Tensor,
     hgt, wid = maps.data.shape[1:3]
     vmaps = ad.reshape(maps, (j * hgt * wid, maps.data.shape[3])) @ p.value_w
     vmaps = ad.reshape(vmaps, (j, hgt, wid, nh, dh))
-    vmaps = ad.transpose(vmaps, (3, 0, 1, 2, 4))                  # (Nh, J, H, W, dh)
+    vmaps = ad.reshape(ad.transpose(vmaps, (3, 0, 1, 2, 4)),
+                       (nh * j, hgt, wid, dh))                    # (Nh*J, H, W, dh)
 
-    slice_id = np.tile(np.repeat(np.arange(j), r), q_count)
-    head_outs = []
-    for i in range(nh):
-        samples = ad.bilinear_sample(vmaps[i], ad.reshape(locs[i], (q_count * j * r, 2)),
-                                     slice_id)
-        samples = ad.reshape(samples, (q_count, j * r, dh))
-        w_i = ad.reshape(weights[i], (q_count, j * r, 1))
-        head_outs.append(ad.reduce_sum(ad.mul(samples, w_i), axis=1))
-    mixed = ad.concat(head_outs, axis=1)                          # (Q, Nh*dh)
+    # every head samples its own J slices: slice = head * J + height
+    slice_id = np.broadcast_to(np.arange(nh * j).reshape(nh, 1, j, 1),
+                               (nh, q_count, j, r)).ravel()
+    samples = ad.bilinear_sample(vmaps, ad.reshape(locs, (-1, 2)), slice_id)
+    samples = ad.reshape(samples, (nh, q_count, j * r, dh))
+    w = ad.reshape(weights, (nh, q_count, j * r, 1))
+    heads = ad.reduce_sum(ad.mul(samples, w), axis=2)             # (Nh, Q, dh)
+    mixed = ad.reshape(ad.transpose(heads, (1, 0, 2)), (q_count, nh * dh))
 
     if collector is not None:
         meta = query_meta if query_meta is not None else np.column_stack(

@@ -32,7 +32,6 @@ class MhaParams:
     wq: ad.Tensor
     bq: ad.Tensor
     wk: ad.Tensor
-    bk: ad.Tensor
     wv: ad.Tensor
     bv: ad.Tensor
     wo: ad.Tensor
@@ -47,7 +46,6 @@ def init_mha(q_dim: int, kv_dim: int, out_dim: int, n_heads: int, head_dim: int,
         wq=ad.parameter(rng.normal(0, np.sqrt(1.0 / q_dim), (q_dim, inner))),
         bq=ad.parameter(np.zeros(inner)),
         wk=ad.parameter(rng.normal(0, np.sqrt(1.0 / kv_dim), (kv_dim, inner))),
-        bk=ad.parameter(np.zeros(inner)),
         wv=ad.parameter(rng.normal(0, np.sqrt(1.0 / kv_dim), (kv_dim, inner))),
         bv=ad.parameter(np.zeros(inner)),
         wo=ad.parameter(rng.normal(0, np.sqrt(1.0 / inner), (inner, out_dim))),
@@ -61,10 +59,12 @@ def attend(q_in: ad.Tensor, kv_in: ad.Tensor, p: MhaParams,
     (tq, tk) mask blocks a key.
 
     Scaling is 1/sqrt(head_dim); with a single head this is exactly
-    softmax(Q K^T / sqrt(C)) V followed by the output projection. The
+    softmax(Q K^T / sqrt(C)) V followed by the output projection. Keys carry
+    no bias: q . b_k is the same for every key of a row and cancels in the
+    softmax. The
     per-head projections are re-associated onto the side with fewer rows, so
     no (n_heads, T, head_dim) array is built for the many-row side:
-      few queries: logits_h = (Q_h Wk_h^T) kv^T + Q_h bk_h^T,
+      few queries: logits_h = (Q_h Wk_h^T) kv^T,
                    ctx_h = (attn_h kv) Wv_h + bv_h   (attention rows sum to 1);
       few keys:    logits_h = q (Wq_h K_h^T) + bq_h K_h^T,
                    out = sum_h attn_h ((kv Wv_h + bv_h) Wo_h) + bo.
@@ -78,14 +78,13 @@ def attend(q_in: ad.Tensor, kv_in: ad.Tensor, p: MhaParams,
         # Wk_h on the left keeps the gradient of wk C-ordered for AdamW
         q_wk = ad.transpose(_split_heads(p.wk, nh, dh) @ ad.transpose(q, (0, 2, 1)),
                             (0, 2, 1))                                  # (nh, tq, d_kv)
-        logits = ad.reshape(q_wk, (nh * tq, -1)) @ ad.transpose(kv_in, (1, 0)) \
-            + ad.reshape(q @ ad.reshape(p.bk, (nh, dh, 1)), (nh * tq, 1))
+        logits = ad.reshape(q_wk, (nh * tq, -1)) @ ad.transpose(kv_in, (1, 0))
         if blocked is not None:
             logits = logits + ad.constant(np.tile(blocked, (nh, 1)))
         attn_kv = ad.reshape(ad.softmax(logits, axis=-1) @ kv_in, (nh, tq, -1))
         ctx = attn_kv @ _split_heads(p.wv, nh, dh) + ad.reshape(p.bv, (nh, 1, dh))
         return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tq, nh * dh)) @ p.wo + p.bo
-    k_t = ad.transpose(ad.mul(_split_heads(kv_in @ p.wk + p.bk, nh, dh), scale),
+    k_t = ad.transpose(ad.mul(_split_heads(kv_in @ p.wk, nh, dh), scale),
                        (0, 2, 1))                                       # (nh, dh, tk)
     wq_k = ad.transpose(_split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))    # (d_q, nh, tk)
     bq_k = ad.reshape(p.bq, (nh, 1, dh)) @ k_t                          # (nh, 1, tk)

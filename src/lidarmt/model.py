@@ -155,7 +155,11 @@ class Model:
             extra = sorted(set(values) - set(names))[:4]
             raise KeyError(f"checkpoint/model mismatch: missing={missing} extra={extra}")
         for name, tensor in names.items():
-            tensor.data = np.asarray(values[name], dtype=np.float64).copy()
+            arr = np.asarray(values[name], dtype=np.float64)
+            if arr.shape != tensor.data.shape:
+                raise ValueError(f"checkpoint/model mismatch: {name} has shape "
+                                 f"{arr.shape}, model expects {tensor.data.shape}")
+            tensor.data = arr.copy()
 
     # -- forward pieces ---------------------------------------------------------
 

@@ -30,18 +30,3 @@ def named_tensors(obj, prefix: str = ""):
 
 def collect(obj, prefix: str = "") -> dict:
     return dict(named_tensors(obj, prefix))
-
-
-def load_values(obj, values: dict, prefix: str = "") -> None:
-    """Assign .data for every named tensor from `values`; strict by name."""
-    names = collect(obj, prefix)
-    missing = set(names) - set(values)
-    extra = set(values) - set(names)
-    if missing or extra:
-        raise KeyError(f"parameter name mismatch: missing={sorted(missing)[:4]} "
-                       f"extra={sorted(extra)[:4]}")
-    for name, tensor in names.items():
-        arr = values[name]
-        if tuple(arr.shape) != tensor.data.shape:
-            raise ValueError(f"{name}: shape {arr.shape} != {tensor.data.shape}")
-        tensor.data = arr.astype(tensor.data.dtype, copy=True)

@@ -119,17 +119,12 @@ class DenseBEVMap:
 
     features: ad.Tensor          # (C * n_heights, H, W)
     n_heights: int
-    downsample: tuple = (1, 1, 1)
 
     def __post_init__(self):
         if not isinstance(self.features, ad.Tensor):
             self.features = ad.Tensor(self.features)
         if self.features.data.shape[0] % self.n_heights:
             raise ValueError("channel count not divisible by n_heights")
-
-    @property
-    def channels_per_height(self) -> int:
-        return self.features.data.shape[0] // self.n_heights
 
     @property
     def hw(self) -> tuple:

@@ -131,10 +131,6 @@ class TrainLog:
     lr: list = field(default_factory=list)
     per_task: dict = field(default_factory=dict)
 
-    def loss_at(self, step: int, smoothed: bool = True) -> float:
-        i = self.steps.index(step)
-        return self.ema_loss[i] if smoothed else self.raw_loss[i]
-
 
 def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
           samples: list[SceneSample] | None = None):

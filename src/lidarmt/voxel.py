@@ -80,9 +80,6 @@ class VoxelizedFrame:
     def num_voxels(self) -> int:
         return len(self.indices)
 
-    def point_rows(self, voxel_row: int) -> np.ndarray:
-        return np.nonzero(self.point_to_voxel == voxel_row)[0]
-
 
 def group_and_vote(xyz: np.ndarray, labels: np.ndarray,
                    spec: VoxelGridSpec) -> VoxelizedFrame:

@@ -125,7 +125,7 @@ def test_criterion_1_formula_oracles():
         k, m, c = int(r.integers(1, 5)), int(r.integers(1, 8)), int(r.integers(2, 7))
         mha = xt.init_mha(c, c, c, 1, c, r)
         mha.wo.data[:] = np.eye(c)
-        for b in (mha.bq, mha.bk, mha.bv, mha.bo):
+        for b in (mha.bq, mha.bv, mha.bo):
             b.data[:] = 0.0
         eps = r.normal(size=(k, c))
         vox = r.normal(size=(m, c))

@@ -9,16 +9,22 @@ from lidarmt import sparse
 from conftest import check_grads, check_grads_sampled, rng
 
 
+def _sample_slice(m, locs):
+    """Sample one (H, W, C) slice at fractional (u, v) rows."""
+    return ad.bilinear_sample(ad.Tensor(m[None]), ad.Tensor(locs),
+                              np.zeros(len(locs), dtype=np.int64))
+
+
 def test_bilinear_integer_loc_returns_stored_value():
     r = rng(0)
     m = r.normal(size=(3, 4, 2))
-    out = xs.bilinear_sample(m, np.array([[2.0, 1.0]]))
+    out = _sample_slice(m, np.array([[2.0, 1.0]]))
     np.testing.assert_array_equal(out.data[0], m[1, 2])
 
 
 def test_bilinear_midpoint_of_2x2_is_mean():
     m = np.arange(4.0).reshape(2, 2, 1)
-    out = xs.bilinear_sample(m, np.array([[0.5, 0.5]]))
+    out = _sample_slice(m, np.array([[0.5, 0.5]]))
     np.testing.assert_allclose(out.data[0, 0], m.mean())
 
 
@@ -26,7 +32,7 @@ def test_bilinear_matches_independent_formula():
     r = rng(1)
     m = r.normal(size=(5, 6, 3))
     locs = np.column_stack([r.uniform(0, 5, 20), r.uniform(0, 4, 20)])
-    out = xs.bilinear_sample(m, locs)
+    out = _sample_slice(m, locs)
     for (u, v), got in zip(locs, out.data):
         u0, v0 = int(np.floor(u)), int(np.floor(v))
         du, dv = u - u0, v - v0
@@ -93,7 +99,11 @@ def test_attention_weight_rows_sum_to_one_nontrivial():
     maps = ad.Tensor(r.normal(size=(2, 4, 4, 6)))
     q = ad.Tensor(r.normal(size=(4, 6)))
     refs = np.column_stack([r.uniform(0.2, 3.0, 4), r.uniform(0.2, 3.0, 4)])
-    xs.mh_deform_attn(q, refs, maps, p)  # internal assertion enforces the sum
+    col = xs.OffsetCollector()
+    xs.mh_deform_attn(q, refs, maps, p, col)
+    weights = col.stacked()[:, 8].reshape(4, 2, 6)  # (query, head, height * point)
+    assert np.ptp(weights) > 0.1  # far from the uniform weights of init
+    np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12)
 
 
 def test_mh_deform_attn_gradients():
@@ -112,6 +122,60 @@ def test_mh_deform_attn_gradients():
         return ad.mul(xs.mh_deform_attn(q, refs, maps, p), w).sum()
 
     check_grads(f, tensors, rtol=1e-4)
+
+
+def _per_head_deform_attn(queries, refs, maps, p):
+    """mh_deform_attn with one bilinear_sample call per head, then a concat."""
+    q_count = queries.data.shape[0]
+    nh, dh, j, r = p.n_heads, p.head_dim, p.n_heights, p.n_points
+    off = ad.reshape(queries @ p.offset_w + p.offset_b, (q_count, nh, j, r, 2))
+    off = ad.transpose(off, (1, 0, 2, 3, 4))
+    logits = ad.reshape(queries @ p.logit_w + p.logit_b, (q_count, nh, j * r))
+    weights = ad.reshape(ad.softmax(logits, axis=-1), (q_count, nh, j, r))
+    weights = ad.transpose(weights, (1, 0, 2, 3))
+    locs = ad.add(ad.constant(refs.reshape(1, q_count, 1, 1, 2)), off)
+    hgt, wid = maps.data.shape[1:3]
+    vmaps = ad.reshape(maps, (j * hgt * wid, maps.data.shape[3])) @ p.value_w
+    vmaps = ad.transpose(ad.reshape(vmaps, (j, hgt, wid, nh, dh)), (3, 0, 1, 2, 4))
+    slice_id = np.tile(np.repeat(np.arange(j), r), q_count)
+    head_outs = []
+    for i in range(nh):
+        samples = ad.bilinear_sample(vmaps[i], ad.reshape(locs[i], (q_count * j * r, 2)),
+                                     slice_id)
+        samples = ad.reshape(samples, (q_count, j * r, dh))
+        w_i = ad.reshape(weights[i], (q_count, j * r, 1))
+        head_outs.append(ad.reduce_sum(ad.mul(samples, w_i), axis=1))
+    return ad.concat(head_outs, axis=1) @ p.out_w
+
+
+def test_folded_heads_match_per_head_loop_bit_exact():
+    r = rng(15)
+    p = xs.init_deform_attn(5, 3, 4, 3, 2, r)
+    p.offset_w.data[:] = 0.5 * r.normal(size=p.offset_w.data.shape)
+    p.offset_b.data[:] = r.uniform(-3.0, 3.0, p.offset_b.data.shape)
+    p.logit_w.data[:] = r.normal(size=p.logit_w.data.shape)
+    p.logit_b.data[:] = r.normal(size=p.logit_b.data.shape)
+    maps = ad.parameter(r.normal(size=(2, 4, 6, 5)))
+    q = ad.parameter(r.normal(size=(7, 5)))
+    refs = np.column_stack([r.uniform(0, 5, 7), r.uniform(0, 3, 7)])
+    w = ad.constant(r.normal(size=(7, 5)))
+    tensors = [q, maps, p.offset_w, p.offset_b, p.logit_w, p.logit_b, p.value_w, p.out_w]
+
+    col = xs.OffsetCollector()
+    runs = []
+    for fn in (lambda: xs.mh_deform_attn(q, refs, maps, p, col),
+               lambda: _per_head_deform_attn(q, refs, maps, p)):
+        for t in tensors:
+            t.grad = None
+        out = fn()
+        ad.mul(out, w).sum().backward()
+        runs.append([out.data] + [t.grad for t in tensors])
+    rows = col.stacked()
+    locs = rows[:, 0:2] + rows[:, 6:8]
+    outside = (locs < 0).any(axis=1) | (locs[:, 0] > 5) | (locs[:, 1] > 3)
+    assert 0 < outside.sum() < len(locs)  # some samples fall past the map edge
+    for got, want in zip(*runs):
+        np.testing.assert_array_equal(got, want)
 
 
 def _small_stack(r, channels=6, grid=(4, 4), heights=2):

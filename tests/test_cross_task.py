@@ -150,7 +150,6 @@ def test_bidirectional_cross_attention_matches_hand_rolled_formulas():
         mha.wo.data[:] = np.eye(c)
         mha.bo.data[:] = 0.0
         mha.bq.data[:] = 0.0
-        mha.bk.data[:] = 0.0
         mha.bv.data[:] = 0.0
 
     got3 = xt.attend(eps, voxels, layer.class_cross)
@@ -298,15 +297,16 @@ def test_full_layer_gradient_check():
 def _random_mha(r, q_dim, kv_dim, out_dim, heads, head_dim):
     """Attention parameters with every weight and bias drawn at random."""
     p = xt.init_mha(q_dim, kv_dim, out_dim, heads, head_dim, r)
-    for t in (p.wo, p.bq, p.bk, p.bv, p.bo):
+    for t in (p.wo, p.bq, p.bv, p.bo):
         t.data[:] = r.normal(size=t.data.shape)
     return p
 
 
-def _attend_reference(q_in, kv_in, p, mask=None):
-    """Per-head attention written out head by head, projections first."""
+def _attend_reference(q_in, kv_in, p, key_bias, mask=None):
+    """Per-head attention written out head by head, projections first, with a
+    key bias that `attend` leaves out."""
     q = q_in @ p.wq.data + p.bq.data
-    k = kv_in @ p.wk.data + p.bk.data
+    k = kv_in @ p.wk.data + key_bias
     v = kv_in @ p.wv.data + p.bv.data
     heads = []
     for h in range(p.n_heads):
@@ -331,8 +331,11 @@ def test_attend_matches_multi_head_reference_with_biases(tq, tk, masked):
     if masked:
         mask = r.uniform(size=(tq, tk)) < 0.5
         mask[np.arange(tq), r.integers(0, tk, size=tq)] = False  # one key per row stays
+    # q . b_k is the same for every key of a row, so any key bias cancels
+    key_bias = r.normal(size=p.wk.data.shape[1])
     got = xt.attend(ad.Tensor(q_in), ad.Tensor(kv_in), p, mask)
-    np.testing.assert_allclose(got.data, _attend_reference(q_in, kv_in, p, mask),
+    np.testing.assert_allclose(got.data,
+                               _attend_reference(q_in, kv_in, p, key_bias, mask),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -370,8 +373,7 @@ def test_center_window_attention_matches_per_query_loop(side, window):
                            n_layers=1, n_heads=2, head_dim=3, ffn_hidden=8,
                            window=window, zero_residual=False)
     layer = p.layers[0]
-    for t in (layer.center_cross.bq, layer.center_cross.bk, layer.center_cross.bv,
-              layer.center_cross.bo):
+    for t in (layer.center_cross.bq, layer.center_cross.bv, layer.center_cross.bo):
         t.data[:] = r.normal(size=t.data.shape)
     # identity self-attention and feed-forward leave only the center branch
     for t in (layer.self_attn.wo, layer.self_attn.bo, layer.ffn.w2, layer.ffn.b2):

@@ -45,8 +45,12 @@ def golden_run() -> dict:
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("wo", "w2"):
             t.data[:] = r.normal(0, np.sqrt(1.0 / t.data.shape[0]), t.data.shape)
-        elif leaf in ("bq", "bk", "bv", "bo"):
+        elif leaf in ("bq", "bv", "bo"):
             t.data[:] = r.normal(0, 0.1, t.data.shape)
+            if leaf == "bq":
+                # the fixture was recorded with a random key bias drawn here;
+                # it cancels in the softmax, but later draws must not shift
+                r.normal(0, 0.1, t.data.shape)
     scene = data.generate_scene(0, cli.scene_spec_from_config(cfg), frame_id=0)
     opt = tr.AdamW(model.parameters(), beta1=cfg["train.beta1"],
                    beta2=cfg["train.beta2"], weight_decay=cfg["train.weight_decay"])

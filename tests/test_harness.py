@@ -1,9 +1,12 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidarmt
 from lidarmt import autodiff as ad
 from lidarmt import checkpoint as ck
 from lidarmt import cli
@@ -305,6 +308,17 @@ def test_checkpoint_corrupt_magic(tmp_path):
         tr.load_model(tmp_path / "m.ckpt")
 
 
+def test_checkpoint_with_wrong_parameter_shape_rejected(tmp_path):
+    cfg = tiny_cfg()
+    tr.save_model(tmp_path / "m.ckpt", Model(cfg), None, cfg, step=0)
+    saved = ck.load_checkpoint(tmp_path / "m.ckpt")
+    saved.params["hm_head.bias"] = saved.params["hm_head.bias"][:1]
+    ck.save_checkpoint(tmp_path / "m.ckpt", saved)
+    with pytest.raises(ValueError, match=r"hm_head\.bias has shape \(1,\), "
+                                         r"model expects \(4,\)"):
+        tr.load_model(tmp_path / "m.ckpt")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_training_divergence_aborts_with_dump(tmp_path):
     samples, _ = tiny_scenes(1)
@@ -395,3 +409,15 @@ def test_cli_error_exit_code_and_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+# -- source --------------------------------------------------------------------
+
+
+def test_package_has_no_assert_statements():
+    """`python -O` strips asserts, so checks in the package raise typed errors."""
+    package = Path(lidarmt.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
