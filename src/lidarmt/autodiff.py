@@ -115,11 +115,19 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.asarray(grad, dtype=np.float64)}
+        roots: set[int] = set()   # buffers that leaf grads already hold
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node._vjp is None:
+                # a vjp may hand one buffer, or views of it, to several leaves; each
+                # leaf must own its grad, as clipping scales grads in place
+                root = g
+                while isinstance(root.base, np.ndarray):
+                    root = root.base
+                g = g.copy() if id(root) in roots else g
+                roots.add(id(root))
                 node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):

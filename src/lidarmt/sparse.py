@@ -132,19 +132,25 @@ class DenseBEVMap:
 
 
 # Rulebooks depend only on coordinate geometry, which repeats every time the
-# same scene is revisited; cache them keyed by the raw coordinate bytes.
-_RULEBOOK_CACHE: dict = {}
-_RULEBOOK_CACHE_LIMIT = 512
+# same scene is revisited; cache them by the raw coordinate bytes. Over budget,
+# least recently used entries go down to half of it, so that every miss changes
+# the entry count: bench/spans.py counts misses by it.
+_RULEBOOK_CACHE: dict = {}      # key -> (per-tap pairs, bytes of key and pairs)
+_RULEBOOK_CACHE_BYTES = 8 << 20   # 2.7x what 8 default scenes need; more adds page faults
 
 
 def _cached(key, build):
-    hit = _RULEBOOK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if len(_RULEBOOK_CACHE) >= _RULEBOOK_CACHE_LIMIT:
-        _RULEBOOK_CACHE.clear()
-    out = _RULEBOOK_CACHE[key] = build()
-    return out
+    entry = _RULEBOOK_CACHE.pop(key, None)
+    if entry is None:
+        pairs = build()
+        # the last two parts of a key are the coordinate byte strings
+        entry = pairs, sum(map(len, key[-2:])) + sum(a.nbytes + b.nbytes for a, b in pairs)
+        held = sum(size for _, size in _RULEBOOK_CACHE.values())
+        if held + entry[1] > _RULEBOOK_CACHE_BYTES:
+            while _RULEBOOK_CACHE and held + entry[1] > _RULEBOOK_CACHE_BYTES // 2:
+                held -= _RULEBOOK_CACHE.pop(next(iter(_RULEBOOK_CACHE)))[1]
+    _RULEBOOK_CACHE[key] = entry    # most recently used last
+    return entry[0]
 
 
 def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,

@@ -37,6 +37,9 @@ def one_cycle_lr(step: int, total: int, peak: float, div_factor: float = 25.0,
     return final + (peak - final) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+BLOCK = 32 * 1024   # floats per AdamW block: its arrays stay in cache together
+
+
 class AdamW:
     """Decoupled weight decay; moments keyed by parameter name."""
 
@@ -46,8 +49,10 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
+        # C-contiguous whatever the parameter's layout, so step's flat views are views
+        self.m = {k: np.zeros(v.data.shape) for k, v in params.items()}
+        self.v = {k: np.zeros(v.data.shape) for k, v in params.items()}
+        self._scratch = np.empty((2, BLOCK))
 
     def zero_grad(self):
         for p in self.params.values():
@@ -57,7 +62,7 @@ class AdamW:
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
-                total += float((p.grad ** 2).sum())
+                total += float(np.vdot(p.grad, p.grad))
         norm = math.sqrt(total)
         if max_norm > 0 and norm > max_norm:
             scale = max_norm / (norm + 1e-12)
@@ -67,18 +72,30 @@ class AdamW:
         return norm
 
     def step(self, lr: float):
+        """In place, BLOCK floats at a time, bit-identical to the whole-array form."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        sa, sb = self._scratch
         for k, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1 ** self.t)
-            vhat = self.v[k] / (1 - b2 ** self.t)
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps)
-                            + self.weight_decay * p.data)
+            data = p.data if p.data.flags.c_contiguous else p.data.copy()
+            pf, mf, vf, gf = (a.reshape(-1) for a in (data, self.m[k], self.v[k], p.grad))
+            for i in range(0, pf.size, BLOCK):
+                j = i + BLOCK
+                pb, mb, vb, gb = pf[i:j], mf[i:j], vf[i:j], gf[i:j]
+                s1, s2 = sa[:len(pb)], sb[:len(pb)]
+                mb *= b1
+                mb += np.multiply(gb, 1 - b1, out=s1)  # b1*m + (1-b1)*g
+                vb *= b2
+                vb += np.multiply(np.multiply(gb, 1 - b2, out=s1), gb, out=s1)
+                np.sqrt(np.divide(vb, 1 - b2 ** self.t, out=s1), out=s1)  # sqrt(vhat)
+                s1 += self.eps
+                np.divide(np.divide(mb, 1 - b1 ** self.t, out=s2), s1, out=s2)  # mhat/(..+eps)
+                s2 += np.multiply(pb, self.weight_decay, out=s1)
+                pb -= np.multiply(s2, lr, out=s2)
+            if data is not p.data:  # a non-contiguous parameter, updated in a copy
+                p.data[...] = data
 
 
 def compute_losses(model: Model, out, sample: SceneSample) -> dict:
@@ -129,6 +146,7 @@ class TrainLog:
     raw_loss: list = field(default_factory=list)
     ema_loss: list = field(default_factory=list)
     lr: list = field(default_factory=list)
+    grad_norm: list = field(default_factory=list)   # before clipping
     per_task: dict = field(default_factory=dict)
 
 
@@ -164,10 +182,12 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
                 if out_ckpt is not None:
                     dump = str(out_ckpt) + ".diverged"
                     save_model(dump, model, opt, cfg, step)
-                raise TrainingDiverged(f"non-finite loss at step {step}")
+                term = next((k for k, v in losses.items() if not math.isfinite(v.data)),
+                            "weighted total")
+                raise TrainingDiverged(f"non-finite loss at step {step}: {term}")
             opt.zero_grad()
             total.backward()
-            opt.clip_global_norm(cfg["train.grad_clip"])
+            norm = opt.clip_global_norm(cfg["train.grad_clip"])
             lr = one_cycle_lr(step, steps, cfg["train.peak_lr"],
                               cfg["train.div_factor"], cfg["train.final_div"],
                               cfg["train.warmup_pct"])
@@ -178,6 +198,7 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
             log.raw_loss.append(value)
             log.ema_loss.append(ema)
             log.lr.append(lr)
+            log.grad_norm.append(norm)
             for k in model.loss_weights.names:
                 log.per_task[k].append(float(losses[k].data))
             if log_file and (step % int(cfg["train.log_every"]) == 0
@@ -185,7 +206,7 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
                 tasks_txt = " ".join(f"{k}={float(losses[k].data):.4f}"
                                      for k in model.loss_weights.names)
                 log_file.write(f"step={step} lr={lr:.6g} loss={value:.6f} "
-                               f"ema={ema:.6f} {tasks_txt}\n")
+                               f"ema={ema:.6f} gnorm={norm:.6g} {tasks_txt}\n")
     finally:
         if log_file:
             log_file.close()

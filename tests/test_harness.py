@@ -202,6 +202,8 @@ def test_training_with_augmentation_smoke():
     _model, log = tr.train(cfg, samples=samples)
     assert len(log.steps) == 3
     assert all(math.isfinite(v) for v in log.raw_loss)
+    assert len(log.grad_norm) == 3
+    assert all(math.isfinite(v) and v > 0 for v in log.grad_norm)
 
 
 def test_evaluation_and_inference_never_augment():
@@ -324,9 +326,33 @@ def test_training_divergence_aborts_with_dump(tmp_path):
     samples, _ = tiny_scenes(1)
     cfg = tiny_cfg(**{"train.peak_lr": 1e9, "train.div_factor": 1.0,
                       "train.grad_clip": 0.0, "train.steps": 30})
-    with pytest.raises(tr.TrainingDiverged):
+    with pytest.raises(tr.TrainingDiverged,
+                       match=r"non-finite loss at step \d+: "
+                             r"(seg|det_hm|det_reg|aux_seg|weighted total)$"):
         tr.train(cfg, samples=samples, out_ckpt=tmp_path / "m.ckpt")
     assert (tmp_path / "m.ckpt.diverged").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("replace,term", [
+    ({"det_reg": np.inf, "aux_seg": np.nan}, "det_reg"),      # first in order
+    (dict.fromkeys(("seg", "det_hm", "det_reg", "aux_seg"), 1e308), "weighted total"),
+])
+def test_training_divergence_names_first_non_finite_term(monkeypatch, replace, term):
+    samples, _ = tiny_scenes(1)
+    real = tr.compute_losses
+
+    def losses_at_step_1(model, out, sample):
+        losses = real(model, out, sample)
+        calls.append(1)
+        if len(calls) == 2:
+            losses.update({k: ad.constant(v) for k, v in replace.items()})
+        return losses
+
+    calls = []
+    monkeypatch.setattr(tr, "compute_losses", losses_at_step_1)
+    with pytest.raises(tr.TrainingDiverged, match=f"at step 1: {term}$"):
+        tr.train(tiny_cfg(**{"train.steps": 2}), samples=samples)
 
 
 # -- offsets -------------------------------------------------------------------

@@ -322,7 +322,7 @@ def up_rulebook(coarse, fine_coords, fine_shape):
     cin = coarse.num_channels
     sparse.upsample_conv3d(coarse, fine_coords, fine_shape,
                            ad.Tensor(np.zeros((3, 3, 3, cin, 1))), ad.Tensor(np.zeros(1)))
-    (key, pairs), = sparse._RULEBOOK_CACHE.items()
+    (key, (pairs, _size)), = sparse._RULEBOOK_CACHE.items()
     assert key[0] == "up"
     return pairs
 
@@ -384,3 +384,32 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
         want = add_at_reference(feats.data, kern.data, bias.data, pairs, n_out, g)
         for got, ref in zip((out.data, feats.grad, kern.grad, bias.grad), want):
             assert np.array_equal(got, ref)
+
+
+def test_rulebook_cache_stays_within_its_byte_budget(monkeypatch):
+    budget = 20_000
+    monkeypatch.setattr(sparse, "_RULEBOOK_CACHE", {})
+    monkeypatch.setattr(sparse, "_RULEBOOK_CACHE_BYTES", budget)
+    cache = sparse._RULEBOOK_CACHE
+
+    def rebuild():
+        raise AssertionError("a hit must not rebuild")
+
+    r = rng(5)
+    order = []                                      # least recently used first
+    for i in range(60):
+        n = int(r.integers(0, 150))
+        order.append(key := ("conv", (8, 8, 8), 1, np.arange(n).tobytes(), bytes([i])))
+        pairs = [(np.arange(n), np.arange(n))] * 2
+        before = len(cache)
+        assert sparse._cached(key, lambda: pairs) is pairs
+        assert cache[key][1] == 8 * n + 1 + 4 * 8 * n   # key bytes plus index arrays
+        assert len(cache) != before                 # the bench counts misses by this
+        assert list(cache) == order[-len(cache):]   # the newest stays, the stalest go
+        assert sum(size for _, size in cache.values()) <= budget
+        stalest = next(iter(cache))
+        want = cache[stalest][0]
+        assert sparse._cached(stalest, rebuild) is want
+        order.remove(stalest)
+        order.append(stalest)
+    assert len(cache) < 60
