@@ -11,7 +11,11 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_recording = True   # False inside no_grad(): ops build no tape
 
 
 class Tensor:
@@ -95,6 +99,9 @@ class Tensor:
 
     def backward(self, grad=None):
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf."""
+        if not self.requires_grad:
+            raise ValueError("backward() on a tensor with no tape (a constant, or "
+                             "computed under no_grad)")
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
@@ -153,9 +160,22 @@ def parameter(x) -> Tensor:
     return Tensor(x, requires_grad=True)
 
 
+@contextmanager
+def no_grad():
+    """Run ops without recording a tape: results are plain tensors with no
+    parents and no vjp, so each intermediate is freed once unreferenced.
+    Nests, and restores the previous state on exit, exceptions included."""
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
+
+
 def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -219,7 +239,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):   # exp(-a) = inf below about -709: out is 0.0
+        out = 1.0 / (1.0 + np.exp(-a.data))
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -376,13 +397,13 @@ def segment_max(values: Tensor, group_id: np.ndarray, n_groups: int) -> Tensor:
         return _make(np.zeros((0, c)), (values,), lambda g: (np.zeros_like(data),))
     sorted_vals = data[order]
     out = np.maximum.reduceat(sorted_vals, starts, axis=0)
-    # first maximizing row per (group, column), in stable sorted order
-    hit = sorted_vals == out[sorted_gid]
-    pos = np.where(hit, np.arange(n)[:, None], n)
-    first = np.minimum.reduceat(pos, starts, axis=0)
-    winners = order[first]
 
     def vjp(g):
+        # first maximizing row per (group, column), in stable sorted order
+        hit = sorted_vals == out[sorted_gid]
+        pos = np.where(hit, np.arange(n)[:, None], n)
+        first = np.minimum.reduceat(pos, starts, axis=0)
+        winners = order[first]
         gv = np.zeros_like(data)
         np.add.at(gv, (winners.ravel(), np.tile(np.arange(c), n_groups)), g.ravel())
         return (gv,)

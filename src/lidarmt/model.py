@@ -225,7 +225,7 @@ class Model:
             aux_pred = ad.softmax(aux_logits, axis=-1)
             eps0 = xtk.init_class_embedding(aux_pred, aux_feats)
             eps0 = eps0 @ self.cross_task.proj_class.weight + self.cross_task.proj_class.bias
-            base_prob = 1.0 / (1.0 + np.exp(-hm_logits.data))
+            base_prob = ad.sigmoid(hm_logits).data
             proposals = xtk.propose_centers(base_prob, bev_rows,
                                             self.cfg["model.cross_task.centers"],
                                             self.cross_task.proj_center,

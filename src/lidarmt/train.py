@@ -15,7 +15,8 @@ from . import tasks
 from . import voxel as vx
 from .config import canonical_text, config_hash
 from .cross_space import OffsetCollector
-from .data import SceneSample, augment, concat_frames, draw_augment_params, read_dataset
+from .data import (THING_SEMANTIC_OFFSET, SceneSample, augment, concat_frames,
+                   draw_augment_params, read_dataset)
 from .model import Model
 
 
@@ -257,7 +258,8 @@ def evaluate(model: Model, samples: list[SceneSample], cfg: dict) -> dict:
     dropped = 0
     for sample in samples:
         view = training_view(sample, cfg, 0, cfg["train.seed"], allow_augment=False)
-        out = model.forward(view)
+        with ad.no_grad():
+            out = model.forward(view)
         pred_vox = np.argmax(out.seg_logits.data, axis=1).astype(np.int32) + 1
         vox_correct += int((pred_vox == out.frame.voxel_labels).sum())
         vox_total += len(pred_vox)
@@ -282,7 +284,7 @@ def evaluate(model: Model, samples: list[SceneSample], cfg: dict) -> dict:
                     gt_hit += 1
                     break
     iou, miou = mx.miou(cm)
-    _table, mean_ap = mx.center_distance_ap(ap_samples)
+    table, mean_ap = mx.center_distance_ap(ap_samples)
     report = {
         "voxel_accuracy": vox_correct / max(vox_total, 1),
         "point_miou": miou,
@@ -294,6 +296,11 @@ def evaluate(model: Model, samples: list[SceneSample], cfg: dict) -> dict:
     for k, v in enumerate(iou):
         if not np.isnan(v):
             report[f"iou_class_{k + 1}"] = float(v)
+    # keyed by semantic label like iou_class_k; a class without ground truth is NaN
+    for k, row in enumerate(table, 1 + THING_SEMANTIC_OFFSET):
+        if not np.isnan(row[0]):
+            report.update({f"ap_class_{k}_{t:g}m": float(ap)
+                           for t, ap in zip(mx.AP_THRESHOLDS, row)})
     return report
 
 
@@ -306,7 +313,8 @@ def infer(model: Model, sample: SceneSample, cfg: dict) -> dict:
     frame = model.voxelize(view)
     if not frame.num_voxels:
         return {"point_labels": [0] * len(sample.points), "boxes": []}
-    out = model.forward(view, frame=frame)
+    with ad.no_grad():
+        out = model.forward(view, frame=frame)
     pred_vox = np.argmax(out.seg_logits.data, axis=1).astype(np.int32) + 1
     point_pred = np.zeros(len(view.points), dtype=np.int32)
     point_pred[out.frame.kept] = vx.devoxelize(pred_vox, out.frame.point_to_voxel)
@@ -329,7 +337,8 @@ def inspect_offsets(model: Model, sample: SceneSample, quantile: float = 0.0) ->
     """Offset rows (u, v, h, head, height, point, du, dv, weight) from every
     attention block, filtered to weights at or above the given quantile."""
     collector = OffsetCollector()
-    model.forward(sample, collector=collector)
+    with ad.no_grad():
+        model.forward(sample, collector=collector)
     rows = collector.stacked()
     if len(rows) == 0:
         return rows

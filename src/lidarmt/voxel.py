@@ -73,7 +73,8 @@ class VoxelizedFrame:
     point_to_voxel: np.ndarray  # (N_kept,) row id into indices
     voxel_labels: np.ndarray    # (M,) majority-vote class id
     kept: np.ndarray            # (N,) bool mask into the original points
-    dropped: int                # count of out-of-range points
+    dropped: int                # count of points not kept, non-finite ones included
+    non_finite: int             # count of points with a NaN or inf x, y or z
     spec: VoxelGridSpec
 
     @property
@@ -107,7 +108,9 @@ def group_and_vote(xyz: np.ndarray, labels: np.ndarray,
 
     return VoxelizedFrame(indices=indices, point_to_voxel=inverse,
                           voxel_labels=voxel_labels, kept=kept,
-                          dropped=int(len(xyz) - kept.sum()), spec=spec)
+                          dropped=int(len(xyz) - kept.sum()),
+                          non_finite=int(len(xyz) - np.isfinite(xyz).all(axis=1).sum()),
+                          spec=spec)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,38 @@ def test_segment_max_forward_and_grad():
     check_grads(lambda: ad.mul(ad.segment_max(x, gid, 3), w).sum(), [x])
 
 
+def _segment_max_grad_eager(data, group_id, n_groups, g):
+    """segment_max's vjp as it was when its bookkeeping ran in the forward."""
+    n, c = data.shape
+    order = np.argsort(group_id, kind="stable")
+    sorted_gid = group_id[order]
+    starts = np.searchsorted(sorted_gid, np.arange(n_groups))
+    sorted_vals = data[order]
+    out = np.maximum.reduceat(sorted_vals, starts, axis=0)
+    hit = sorted_vals == out[sorted_gid]
+    pos = np.where(hit, np.arange(n)[:, None], n)
+    first = np.minimum.reduceat(pos, starts, axis=0)
+    winners = order[first]
+    gv = np.zeros_like(data)
+    np.add.at(gv, (winners.ravel(), np.tile(np.arange(c), n_groups)), g.ravel())
+    return gv
+
+
+def test_segment_max_grad_matches_eager_bookkeeping_with_ties():
+    r = rng(17)
+    for n, m, c in ((40, 7, 5), (9, 9, 3), (25, 1, 4)):
+        gid = r.permutation(np.arange(n) % m)
+        data = r.integers(-2, 3, size=(n, c)).astype(float)   # many tied maxima
+        x = ad.parameter(data)
+        g = r.normal(size=(m, c))
+        ad.mul(ad.segment_max(x, gid, m), ad.constant(g)).sum().backward()
+        assert np.array_equal(x.grad, _segment_max_grad_eager(data, gid, m, g))
+        for grp in range(m):   # the first maximizing row in input order takes it all
+            rows = np.flatnonzero(gid == grp)
+            win = rows[np.argmax(data[rows], axis=0)]
+            assert np.array_equal(x.grad[win, np.arange(c)], g[grp])
+
+
 def test_segment_max_rejects_empty_group():
     x = ad.Tensor(np.zeros((2, 1)))
     with pytest.raises(ValueError):
@@ -208,3 +242,44 @@ def test_backward_requires_scalar():
     x = ad.parameter(np.ones(3))
     with pytest.raises(ValueError):
         (x * 2).backward()
+
+
+def test_backward_without_tape_raises():
+    x = ad.parameter(np.ones(3))
+    with ad.no_grad():
+        y = (x * 2).sum()
+    for t in (y, ad.constant(np.ones(3)).sum()):
+        with pytest.raises(ValueError, match="no tape"):
+            t.backward()
+    assert x.grad is None
+
+
+def test_no_grad_nests_and_restores_recording_after_an_exception():
+    x = ad.parameter(np.ones(3))
+    with ad.no_grad():
+        with ad.no_grad():
+            inner = x * 2
+        after_inner = ad.sigmoid(x)
+    assert (x * 2).requires_grad
+    for t in (inner, after_inner):
+        assert not t.requires_grad and t._vjp is None and t._parents == ()
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("inside")
+    y = (x * 3).sum()
+    assert y.requires_grad and y._vjp is not None
+    y.backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
+
+
+def test_sigmoid_saturates_without_overflow_warning():
+    a = np.array([-1e4, -745.0, -709.0, -30.0, 0.0, 30.0, 1e4])
+    x = ad.parameter(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.sigmoid(x)
+        out.sum().backward()
+    with np.errstate(over="ignore"):
+        assert np.array_equal(out.data, 1.0 / (1.0 + np.exp(-a)))
+    assert out.data[0] == 0.0 and out.data[-1] == 1.0
+    assert np.isfinite(x.grad).all()

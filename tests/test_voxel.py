@@ -68,8 +68,13 @@ def test_out_of_range_points_are_dropped_and_counted():
     spec = voxel.VoxelGridSpec(range_max=(4, 4, 4))
     pts = np.array([[1, 1, 1], [9, 9, 9], [-1, 0, 0]], dtype=float)
     frame = voxel.group_and_vote(pts, [1, 2, 3], spec)
-    assert frame.dropped == 2
+    assert frame.dropped == 2 and frame.non_finite == 0
     assert frame.num_voxels == 1
+    # non-finite coordinates are counted apart, and dropped like out-of-range ones
+    pts = np.vstack([pts, [[np.nan, 1, 1], [1, np.inf, 1], [1, 1, -np.inf]]])
+    frame = voxel.group_and_vote(pts, [1, 2, 3, 4, 5, 6], spec)
+    assert frame.dropped == 5 and frame.non_finite == 3
+    assert frame.kept.tolist() == [True] + [False] * 5
 
 
 def test_every_voxel_nonempty_and_unique():
