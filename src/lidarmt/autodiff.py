@@ -3,10 +3,10 @@
 Everything learnable in this package flows through the `Tensor` type defined
 here. The op set is deliberately small: elementwise arithmetic, matmul with
 leading-dimension broadcast, reductions, indexing, softmax, plus the few
-custom primitives the pipeline needs (segment max, bilinear map sampling,
-dense 2D convolution, gather/scatter rows). Each primitive carries its own
-vector-Jacobian product, and the whole engine is validated against central
-finite differences in the test suite.
+custom primitives the pipeline needs (layer norm, segment max, bilinear map
+sampling, dense 2D convolution, gather/scatter rows). Each primitive carries
+its own vector-Jacobian product, and the whole engine is validated against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -347,11 +347,17 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
-    """Standardize over the last axis. Non-affine by design."""
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-    return mul(centered, power(add(var, constant(eps)), -0.5))
+    """Standardize over the last axis. Non-affine by design. One tape node: the
+    closed-form vjp of Ba et al. (arXiv 1607.06450) keeps only `out` and `r`."""
+    c = x.data - x.data.mean(axis=-1, keepdims=True)
+    r = ((c * c).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    out = c * r
+
+    def vjp(g):
+        return (r * (g - g.mean(axis=-1, keepdims=True)
+                     - out * (g * out).mean(axis=-1, keepdims=True)),)
+
+    return _make(out, (x,), vjp)
 
 
 # -- indexing ---------------------------------------------------------------
@@ -405,7 +411,7 @@ def segment_max(values: Tensor, group_id: np.ndarray, n_groups: int) -> Tensor:
         first = np.minimum.reduceat(pos, starts, axis=0)
         winners = order[first]
         gv = np.zeros_like(data)
-        np.add.at(gv, (winners.ravel(), np.tile(np.arange(c), n_groups)), g.ravel())
+        gv[winners, np.arange(c)] = g   # groups own disjoint rows: no pair repeats
         return (gv,)
 
     return _make(out, (values,), vjp)
@@ -447,12 +453,14 @@ def bilinear_sample(maps: Tensor, uv: Tensor, slice_id: np.ndarray) -> Tensor:
     out = sum(w[:, None] * val for (_, _, _, w, val) in corners)
 
     def vjp(g):
-        gm = np.zeros_like(maps.data) if maps.requires_grad else None
-        guv = np.zeros_like(uv.data) if uv.requires_grad else None
-        if gm is not None:
-            for (cuc, cvc, ok, wgt, _val) in corners:
-                np.add.at(gm, (slice_id, cvc, cuc), g * (wgt * ok)[:, None])
-        if guv is not None:
+        gm = guv = None
+        if maps.requires_grad:   # sums each cell in corner, then sample order, like np.add.at
+            cells = np.concatenate([(slice_id * hgt + cvc) * wid + cuc for (cuc, cvc, *_) in corners])
+            terms = np.concatenate([g * (wgt * ok)[:, None] for (_, _, ok, wgt, _) in corners])
+            gm = np.bincount((cells[:, None] * c + np.arange(c)).ravel(), terms.ravel(),
+                             minlength=maps.data.size).reshape(maps.data.shape)
+        if uv.requires_grad:
+            guv = np.zeros_like(uv.data)
             (_, _, ok00, _, f00), (_, _, ok10, _, f10), (_, _, ok01, _, f01), (_, _, ok11, _, f11) = corners
             # d out / d du and d out / d dv from the interpolation weights
             d_du = (f10 - f00) * (1 - dv)[:, None] + (f11 - f01) * dv[:, None]

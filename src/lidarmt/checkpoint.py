@@ -31,7 +31,7 @@ class CheckpointData:
 
 
 def save_checkpoint(path, ckpt: CheckpointData) -> None:
-    with open(path, "wb") as f:
+    with cx.atomic_write(path) as f:
         cx.write_header(f, _MAGIC, _VERSION)
         cx.write_str(f, ckpt.config_hash)
         f.write(len(ckpt.config_text.encode()).to_bytes(4, "little"))

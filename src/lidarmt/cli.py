@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import config as cf
+from . import container as cx
 from . import data
 from . import metrics as mx
 from . import train as tr
@@ -75,7 +76,7 @@ def cmd_infer(args) -> int:
     if not 0 <= args.index < len(samples):
         raise IndexError(f"sample index {args.index} outside 0..{len(samples) - 1}")
     result = tr.infer(model, samples[args.index], cfg)
-    with open(args.out, "w") as f:
+    with cx.atomic_write(args.out, "w") as f:
         json.dump(result, f)
     print(f"wrote predictions for sample {args.index} to {args.out}")
     return 0
@@ -88,7 +89,7 @@ def cmd_inspect_offsets(args) -> int:
         raise cf.ConfigError("cross-space attention disabled; no offsets to inspect")
     samples = data.read_dataset(args.input)
     rows = tr.inspect_offsets(model, samples[args.index], args.quantile)
-    with open(args.out, "w") as f:
+    with cx.atomic_write(args.out, "w") as f:
         f.write(tr.format_offsets(rows))
     print(f"wrote {len(rows)} offset rows to {args.out}")
     return 0

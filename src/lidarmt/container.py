@@ -7,7 +7,9 @@ scalars are 32-bit unless a record's dtype header says otherwise.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from typing import BinaryIO
 
 import numpy as np
@@ -23,6 +25,22 @@ class VersionError(ContainerError):
 
 class TruncatedError(ContainerError):
     """File ended in the middle of a record."""
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Write through a sibling temp file that `os.replace` moves onto `path` on
+    success; on an exception it is removed and an old `path` stays untouched.
+    No fsync: atomic against a killed process, not against power loss."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i4"), 3: np.dtype("<i8")}

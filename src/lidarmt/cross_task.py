@@ -239,8 +239,8 @@ def cross_task_layer(eps: ad.Tensor, centers: ad.Tensor | None,
         mask = np.zeros((t, t), dtype=bool)
         mask[:k, k:] = True
         mask[k:, :k] = True
-    tokens = tokens + attend(ad.layer_norm(tokens), ad.layer_norm(tokens),
-                             p.self_attn, mask)
+    normed = ad.layer_norm(tokens)
+    tokens = tokens + attend(normed, normed, p.self_attn, mask)
 
     eps = tokens[np.arange(k)]
     if voxels is not None and voxels.data.shape[0] > 0:

@@ -385,7 +385,7 @@ def inverse_augment_params(params: AugmentParams) -> list[AugmentParams]:
 # -- dataset files ------------------------------------------------------------
 
 def write_dataset(samples: list[SceneSample], path) -> None:
-    with open(path, "wb") as f:
+    with cx.atomic_write(path) as f:
         cx.write_header(f, _DATASET_MAGIC, _DATASET_VERSION)
         cx.write_u32(f, len(samples))
         for s in samples:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import container as cx
 from .data import NUM_CLASSES, NUM_THING
 
 AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)  # meters
@@ -106,7 +107,7 @@ def format_report(values: dict) -> str:
 
 def write_report(values: dict, path) -> None:
     """Machine-readable key=value file."""
-    with open(path, "w") as f:
+    with cx.atomic_write(path, "w") as f:
         for k in values:
             v = values[k]
             f.write(f"{k}={v:.10g}\n" if isinstance(v, float) else f"{k}={v}\n")

@@ -81,6 +81,48 @@ def test_layer_norm_grad_and_moments():
     check_grads(lambda: ad.mul(ad.layer_norm(x), w).sum(), [x], rtol=1e-3)
 
 
+def _layer_norm_composed(x, eps=1e-6):
+    """ad.layer_norm as it was when built from eight tape primitives."""
+    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    return ad.mul(centered, ad.power(ad.add(var, ad.constant(eps)), -0.5))
+
+
+_BASE = rng(18).normal(size=(40, 24))
+LAYER_NORM_REGIMES = {
+    "plain": _BASE,
+    "scaled_1e3": 1e3 * _BASE,
+    "scale_1e-5": 1e-5 * _BASE,
+    "offset_1e6": _BASE + 1e6,
+    "constant_rows": np.repeat(rng(19).normal(size=(40, 1)), 24, axis=1),
+    "one_column": rng(20).normal(size=(40, 1)),
+    "zero_rows": np.zeros((0, 24)),
+    "3d": rng(21).normal(size=(3, 5, 16)),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(LAYER_NORM_REGIMES))
+def test_layer_norm_matches_composed_form(regime):
+    data = LAYER_NORM_REGIMES[regime]
+    g = rng(22).normal(size=data.shape)
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (ad.layer_norm, _layer_norm_composed):
+            x = ad.parameter(data.copy())
+            y = fn(x)
+            ad.mul(y, ad.constant(g)).sum().backward()
+            results.append((y.data, x.grad))
+    (out, grad), (ref_out, ref_grad) = results
+    assert np.array_equal(out.view(np.int64), ref_out.view(np.int64))
+    # where |mean| >> std both forms cancel, and their gradients differ by that
+    rows = np.abs(data.mean(axis=-1)) <= 10 * data.std(axis=-1)
+    if rows.any():
+        err = np.abs(grad - ref_grad)[rows].max()
+        assert err <= 1e-13 * np.abs(ref_grad).max()
+
+
 def test_gather_and_put_rows_roundtrip_grad():
     r = rng(9)
     x = ad.parameter(r.normal(size=(5, 3)))
@@ -135,13 +177,18 @@ def _segment_max_grad_eager(data, group_id, n_groups, g):
 
 def test_segment_max_grad_matches_eager_bookkeeping_with_ties():
     r = rng(17)
-    for n, m, c in ((40, 7, 5), (9, 9, 3), (25, 1, 4)):
+    shapes = [(40, 7, 5), (9, 9, 3), (25, 1, 4)] + [
+        (int(r.integers(1, 60)), int(r.integers(1, 12)), int(r.integers(1, 6)))
+        for _ in range(17)]
+    for n, m, c in shapes:
+        m = min(m, n)
         gid = r.permutation(np.arange(n) % m)
         data = r.integers(-2, 3, size=(n, c)).astype(float)   # many tied maxima
         x = ad.parameter(data)
         g = r.normal(size=(m, c))
         ad.mul(ad.segment_max(x, gid, m), ad.constant(g)).sum().backward()
-        assert np.array_equal(x.grad, _segment_max_grad_eager(data, gid, m, g))
+        want = _segment_max_grad_eager(data, gid, m, g)
+        assert np.array_equal(x.grad.view(np.int64), want.view(np.int64))
         for grp in range(m):   # the first maximizing row in input order takes it all
             rows = np.flatnonzero(gid == grp)
             win = rows[np.argmax(data[rows], axis=0)]
@@ -169,6 +216,35 @@ def test_bilinear_sample_values_and_grads():
     w = ad.constant(r.normal(size=(3, 3)))
     check_grads(lambda: ad.mul(ad.bilinear_sample(maps, uv2, sid2), w).sum(),
                 [maps, uv2])
+
+
+def _bilinear_maps_grad_add_at(maps, uv, slice_id, g):
+    """bilinear_sample's maps gradient as one np.add.at per corner, in order."""
+    _, hgt, wid, _ = maps.shape
+    u0f, v0f = np.floor(uv[:, 0]), np.floor(uv[:, 1])
+    du, dv = uv[:, 0] - u0f, uv[:, 1] - v0f
+    u0, v0 = u0f.astype(np.int64), v0f.astype(np.int64)
+    gm = np.zeros_like(maps)
+    for cu, cv, wgt in ((u0, v0, (1 - du) * (1 - dv)), (u0 + 1, v0, du * (1 - dv)),
+                        (u0, v0 + 1, (1 - du) * dv), (u0 + 1, v0 + 1, du * dv)):
+        ok = (cu >= 0) & (cu < wid) & (cv >= 0) & (cv < hgt)
+        np.add.at(gm, (slice_id, np.clip(cv, 0, hgt - 1), np.clip(cu, 0, wid - 1)),
+                  g * (wgt * ok)[:, None])
+    return gm
+
+
+def test_bilinear_maps_grad_matches_add_at_bytes():
+    r = rng(23)
+    for _ in range(20):
+        j, h, w, c, n = 2, 3, 4, 3, 60   # about ten terms per cell
+        maps = ad.parameter(r.normal(size=(j, h, w, c)))
+        uv = r.uniform(-1.5, [w + 0.5, h + 0.5], size=(n, 2))   # corners off the map
+        uv[: n // 4] = np.round(uv[: n // 4])                     # integer hits
+        sid = r.integers(0, j, size=n)
+        g = r.normal(size=(n, c))
+        ad.mul(ad.bilinear_sample(maps, ad.constant(uv), sid), ad.constant(g)).sum().backward()
+        want = _bilinear_maps_grad_add_at(maps.data, uv, sid, g)
+        assert np.array_equal(maps.grad.view(np.int64), want.view(np.int64))
 
 
 def test_bilinear_out_of_bounds_corners_are_zero():

@@ -235,6 +235,19 @@ def test_empty_voxel_set_skips_cross_attention():
     assert v.data.shape == (0, 4)
 
 
+def test_layer_normalises_each_input_once(monkeypatch):
+    """The query and key sides of the self-attention share one layer norm."""
+    r = rng(16)
+    p, eps, voxels, bev_rows = _decoder_fixture(r, k=3, m=5, c=4, width=4)
+    centers = ad.Tensor(r.normal(size=(2, 4)))
+    inputs = []
+    layer_norm = ad.layer_norm
+    monkeypatch.setattr(ad, "layer_norm", lambda x: inputs.append(x) or layer_norm(x))
+    xt.cross_task_layer(eps, centers, voxels, bev_rows, np.array([[0, 0], [2, 3]]), (4, 4),
+                        p.layers[0], window=3)
+    assert len(inputs) == len({id(x) for x in inputs}) == 5
+
+
 def test_dynamic_kernel_orthonormal_rows():
     c = 4
     eps = ad.Tensor(np.eye(c))  # orthonormal class rows

@@ -11,7 +11,9 @@ from lidarmt import autodiff as ad
 from lidarmt import checkpoint as ck
 from lidarmt import cli
 from lidarmt import config as cf
+from lidarmt import container as cx
 from lidarmt import data
+from lidarmt import metrics
 from lidarmt import sparse
 from lidarmt import train as tr
 from lidarmt.model import EmptyFrameError, Model
@@ -319,6 +321,66 @@ def test_checkpoint_with_wrong_parameter_shape_rejected(tmp_path):
     with pytest.raises(ValueError, match=r"hm_head\.bias has shape \(1,\), "
                                          r"model expects \(4,\)"):
         tr.load_model(tmp_path / "m.ckpt")
+
+
+def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    path = tmp_path / "m.ckpt"
+    tr.save_model(path, Model(cfg), None, cfg, step=0)
+    before = path.read_bytes()
+    calls = []
+
+    def failing_write_array(f, a):
+        calls.append(1)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        f.write(np.ascontiguousarray(a).tobytes())
+
+    monkeypatch.setattr(cx, "write_array", failing_write_array)
+    with pytest.raises(OSError, match="disk full"):
+        tr.save_model(path, Model(cfg), None, cfg, step=1)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+class _Unprintable:
+    def __format__(self, spec):
+        raise RuntimeError("unprintable")
+
+
+def _write_dataset(path, monkeypatch):
+    encode = data._encode_sample
+    monkeypatch.setattr(data, "_encode_sample", lambda s: encode(s) if s else f"{_Unprintable()}")
+    data.write_dataset([tiny_scenes(1)[0][0], None], path)
+
+
+def _write_report(path, monkeypatch):
+    metrics.write_report({"a": 0.5, "b": _Unprintable()}, path)
+
+
+def _run_cli(command):
+    def run(path, monkeypatch):
+        monkeypatch.setattr(tr, "load_model", lambda *a: (None, cf.load_config(), None))
+        monkeypatch.setattr(data, "read_dataset", lambda p: [None])
+        monkeypatch.setattr(tr, "infer", lambda *a: {"a": [1, 2], "b": _Unprintable()})
+        monkeypatch.setattr(tr, "inspect_offsets", lambda *a: np.zeros((1, 3)))
+        monkeypatch.setattr(tr, "format_offsets", lambda rows: f"{_Unprintable()}")
+        args = cli.build_parser().parse_args(
+            [command, "--ckpt", "m.ckpt", "--input", "d.bin", "--out", str(path)])
+        args.fn(args)
+    return run
+
+
+@pytest.mark.parametrize("write", [_write_dataset, _write_report, _run_cli("infer"),
+                                   _run_cli("inspect-offsets")],
+                         ids=["dataset", "report", "cli-infer", "cli-inspect-offsets"])
+def test_file_writer_that_fails_midway_keeps_the_previous_file(write, tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous contents")
+    with pytest.raises((RuntimeError, TypeError), match="unprintable|not JSON serializable"):
+        write(path, monkeypatch)
+    assert path.read_bytes() == b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
