@@ -324,6 +324,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """numpy reduces fastest along an outer axis: put a short softmax axis first."""
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -389,16 +390,17 @@ def put_rows(values: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
 def segment_max(values: Tensor, group_id: np.ndarray, n_groups: int) -> Tensor:
     """Per-group columnwise max of `values` (N, C) under `group_id` (N,).
 
-    Every group must be non-empty. The subgradient routes to the first
-    maximizing row of each (group, column), matching np.argmax tie-breaking.
+    Group ids must fill range(n_groups). The subgradient routes to the
+    first maximizing row of each (group, column), matching np.argmax tie-breaking.
     """
     data = values.data
     n, c = data.shape
     order = np.argsort(group_id, kind="stable")
     sorted_gid = group_id[order]
     starts = np.searchsorted(sorted_gid, np.arange(n_groups))
-    if n_groups and np.unique(sorted_gid).size != n_groups:
-        raise ValueError("segment_max requires every group to be non-empty")
+    if n_groups and (n < n_groups or sorted_gid[0] < 0 or sorted_gid[-1] >= n_groups
+                     or (sorted_gid[np.minimum(starts, n - 1)] != np.arange(n_groups)).any()):
+        raise ValueError("segment_max requires group ids that fill range(n_groups)")
     if n_groups == 0:
         return _make(np.zeros((0, c)), (values,), lambda g: (np.zeros_like(data),))
     sorted_vals = data[order]
@@ -526,15 +528,18 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
     kernel (T, Cin, Cout) into an (n_out, Cout) accumulator. Taps with no
     pairs may pass empty arrays. Within one tap, in_rows and out_rows must
     each hold no duplicates (conv rulebooks do so by construction): the
-    accumulation is then a plain indexed add, exactly like np.add.at. Bias,
-    when given, is added to every output row (submanifold/strided conv
+    accumulation is then a plain indexed add, exactly like np.add.at in either
+    operand order, with rows moved by np.take, faster than fancy indexing.
+    Bias, when given, is added to every output row (submanifold/strided conv
     semantics: every active output site gets the bias exactly once).
     """
     t_taps, cin, cout = kernel.data.shape
     out = np.zeros((n_out, cout), dtype=np.float64)
     for t, (rin, rout) in enumerate(pairs):
         if len(rin):
-            out[rout] += features.data[rin] @ kernel.data[t]
+            y = np.take(features.data, rin, axis=0) @ kernel.data[t]
+            y += np.take(out, rout, axis=0)   # in place: one temporary fewer
+            out[rout] = y
     if bias is not None:
         out += bias.data
 
@@ -544,11 +549,13 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
         for t, (rin, rout) in enumerate(pairs):
             if not len(rin):
                 continue
-            gslice = g[rout]
+            gslice = np.take(g, rout, axis=0)
             if gf is not None:
-                gf[rin] += gslice @ kernel.data[t].T
+                y = gslice @ kernel.data[t].T
+                y += np.take(gf, rin, axis=0)
+                gf[rin] = y
             if gk is not None:
-                gk[t] += features.data[rin].T @ gslice
+                np.matmul(np.take(features.data, rin, axis=0).T, gslice, out=gk[t])
         gb = g.sum(axis=0) if bias is not None else None
         return (gf, gk, gb) if bias is not None else (gf, gk)
 

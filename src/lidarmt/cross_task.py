@@ -61,13 +61,15 @@ def attend(q_in: ad.Tensor, kv_in: ad.Tensor, p: MhaParams,
     Scaling is 1/sqrt(head_dim); with a single head this is exactly
     softmax(Q K^T / sqrt(C)) V followed by the output projection. Keys carry
     no bias: q . b_k is the same for every key of a row and cancels in the
-    softmax. The
-    per-head projections are re-associated onto the side with fewer rows, so
-    no (n_heads, T, head_dim) array is built for the many-row side:
+    softmax. The per-head projections are re-associated onto the side with fewer
+    rows, so no (n_heads, T, head_dim) array is built for the many-row side:
       few queries: logits_h = (Q_h Wk_h^T) kv^T,
                    ctx_h = (attn_h kv) Wv_h + bv_h   (attention rows sum to 1);
       few keys:    logits_h = q (Wq_h K_h^T) + bq_h K_h^T,
                    out = sum_h attn_h ((kv Wv_h + bv_h) Wo_h) + bo.
+    With few keys the softmax reduces long rows of a C-ordered (n_heads, tk, tq)
+    copy. Up to 7 keys that is byte-identical to a trailing key axis (numpy sums
+    fewer than 8 in sequence); from 8 keys on, outputs may move by an ulp.
     """
     tq, tk = q_in.data.shape[0], kv_in.data.shape[0]
     nh, dh = p.n_heads, p.head_dim
@@ -88,13 +90,19 @@ def attend(q_in: ad.Tensor, kv_in: ad.Tensor, p: MhaParams,
                        (0, 2, 1))                                       # (nh, dh, tk)
     wq_k = ad.transpose(_split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))    # (d_q, nh, tk)
     bq_k = ad.reshape(p.bq, (nh, 1, dh)) @ k_t                          # (nh, 1, tk)
-    logits = ad.reshape(q_in @ ad.reshape(wq_k, (-1, nh * tk))
-                        + ad.reshape(bq_k, (1, nh * tk)), (tq, nh, tk))
+    logits = _transposed(q_in @ ad.reshape(wq_k, (-1, nh * tk))
+                         + ad.reshape(bq_k, (1, nh * tk)), (nh, tk, tq))
     if blocked is not None:
-        logits = logits + ad.constant(blocked[:, None, :])
+        logits = logits + ad.constant(blocked.T[None])
     v_wo = _split_heads(kv_in @ p.wv + p.bv, nh, dh) @ ad.reshape(p.wo, (nh, dh, -1))
-    attn = ad.reshape(ad.softmax(logits, axis=-1), (tq, nh * tk))
+    attn = _transposed(ad.reshape(ad.softmax(logits, axis=1), (nh * tk, tq)), (tq, nh * tk))
     return attn @ ad.reshape(v_wo, (nh * tk, -1)) + p.bo
+
+
+def _transposed(x: ad.Tensor, shape: tuple) -> ad.Tensor:
+    """C-ordered copy of x.T as `shape` in both passes: no GEMM sees a transposed operand."""
+    x = ad.reshape(ad.reshape(x, (-1,)), x.data.shape)    # the backward flattens here
+    return ad.reshape(ad.reshape(ad.transpose(x, (1, 0)), (-1,)), shape)
 
 
 def _split_heads(x: ad.Tensor, nh: int, dh: int) -> ad.Tensor:

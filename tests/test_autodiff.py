@@ -201,6 +201,17 @@ def test_segment_max_rejects_empty_group():
         ad.segment_max(x, np.array([0, 2]), 3)
 
 
+@pytest.mark.parametrize("group_id", [[0, 5], [-3, 0], [-1, 0, 1], [0, 1, 5], [1, 1],
+                                      [0], []])
+def test_segment_max_rejects_ids_outside_the_groups(group_id):
+    """For two groups: an id past the end or below zero, with or without
+    every group present, a missing group, too few rows or none at all raise
+    the documented error."""
+    x = ad.Tensor(np.arange(2.0 * len(group_id)).reshape(len(group_id), 2))
+    with pytest.raises(ValueError):
+        ad.segment_max(x, np.array(group_id, dtype=np.int64), 2)
+
+
 def test_bilinear_sample_values_and_grads():
     r = rng(12)
     maps = ad.parameter(r.normal(size=(2, 4, 5, 3)))

@@ -407,3 +407,93 @@ def test_center_window_attention_matches_per_query_loop(side, window):
                   layer.center_cross).data
         for qi, pos in enumerate(positions)])
     np.testing.assert_allclose(got.data, cen.data + want, rtol=1e-12, atol=1e-12)
+
+
+def _attend_keys_trailing(q_in, kv_in, p, mask=None):
+    """The few-key branch of `attend` with the key axis trailing, softmax over
+    (tq, nh, tk) logits: the byte reference for the keys-leading layout."""
+    tq, tk = q_in.data.shape[0], kv_in.data.shape[0]
+    nh, dh = p.n_heads, p.head_dim
+    scale = ad.constant(1.0 / np.sqrt(dh))
+    k_t = ad.transpose(ad.mul(xt._split_heads(kv_in @ p.wk, nh, dh), scale), (0, 2, 1))
+    wq_k = ad.transpose(xt._split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))
+    bq_k = ad.reshape(p.bq, (nh, 1, dh)) @ k_t
+    logits = ad.reshape(q_in @ ad.reshape(wq_k, (-1, nh * tk))
+                        + ad.reshape(bq_k, (1, nh * tk)), (tq, nh, tk))
+    if mask is not None:
+        logits = logits + ad.constant(np.where(mask, -1e30, 0.0)[:, None, :])
+    v_wo = xt._split_heads(kv_in @ p.wv + p.bv, nh, dh) @ ad.reshape(p.wo, (nh, dh, -1))
+    attn = ad.reshape(ad.softmax(logits, axis=-1), (tq, nh * tk))
+    return attn @ ad.reshape(v_wo, (nh * tk, -1)) + p.bo
+
+
+def _few_key_cases(tk, seed):
+    """(q_in, kv_in, params, mask, output weights) with more queries than keys,
+    over tq, 1-4 heads and with or without a mask, all weights random."""
+    r = rng(seed)
+    for tq in (tk + 1, 37, 300):
+        for heads in (1, 2, 3, 4):
+            for masked in (False, True):
+                p = _random_mha(r, q_dim=24, kv_dim=16, out_dim=20, heads=heads, head_dim=8)
+                q_in = ad.parameter(r.normal(size=(tq, 24)))
+                kv_in = ad.parameter(r.normal(size=(tk, 16)))
+                mask = None
+                if masked:
+                    mask = r.uniform(size=(tq, tk)) < 0.4
+                    mask[np.arange(tq), r.integers(0, tk, size=tq)] = False
+                yield q_in, kv_in, p, mask, r.normal(size=(tq, 20))
+
+
+def _within(got, ref, rel):
+    """Every entry within rel of the largest reference magnitude."""
+    return np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tk", range(1, 8))
+def test_few_key_attend_is_byte_identical_to_trailing_keys(tk):
+    for q_in, kv_in, p, mask, _ in _few_key_cases(tk, seed=30 + tk):
+        got = xt.attend(q_in, kv_in, p, mask).data
+        ref = _attend_keys_trailing(q_in, kv_in, p, mask).data
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("tk", range(8, 13))
+def test_few_key_attend_from_8_keys_is_within_rounding(tk):
+    for q_in, kv_in, p, mask, _ in _few_key_cases(tk, seed=30 + tk):
+        got = xt.attend(q_in, kv_in, p, mask).data
+        assert _within(got, _attend_keys_trailing(q_in, kv_in, p, mask).data, 1e-14)
+
+
+@pytest.mark.parametrize("tk", [1, 3, 6, 7, 8, 12])
+def test_few_key_attend_gradients_match_trailing_keys(tk):
+    """Byte-equal up to 7 keys: every GEMM, forward and backward, sees the
+    operand layout of the trailing-key form."""
+    for q_in, kv_in, p, mask, w in _few_key_cases(tk, seed=50 + tk):
+        tensors = [q_in, kv_in] + [t for _, t in pp.named_tensors(p)]
+        grads = []
+        for fn in (xt.attend, _attend_keys_trailing):
+            for t in tensors:
+                t.grad = None
+            ad.mul(fn(q_in, kv_in, p, mask), ad.constant(w)).sum().backward()
+            grads.append([t.grad for t in tensors])
+        for got, ref in zip(*grads):
+            assert _within(got, ref, 1e-12)
+            if tk <= 7:
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_few_key_softmax_runs_along_a_leading_key_axis(monkeypatch):
+    """The few-key softmax reduces axis 1 of a C-contiguous (nh, tk, tq)
+    array; a trailing short key axis is several times slower in numpy."""
+    seen = []
+    softmax = ad.softmax
+
+    def spy(a, axis=-1):
+        seen.append((axis, a.data.shape, a.data.flags.c_contiguous))
+        return softmax(a, axis=axis)
+
+    monkeypatch.setattr(ad, "softmax", spy)
+    for q_in, kv_in, p, mask, _ in _few_key_cases(6, seed=70):
+        seen.clear()
+        xt.attend(q_in, kv_in, p, mask)
+        assert seen == [(1, (p.n_heads, 6, q_in.data.shape[0]), True)]

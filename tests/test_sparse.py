@@ -374,6 +374,11 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
     cases = [(t, sparse._conv_pairs(t, t.coords, 1), len(t)),
              (t, sparse._conv_pairs(t, coarse.coords, 2), len(coarse)),
              (coarse, up_rulebook(coarse, t.coords, t.spatial_shape), len(t))]
+    # relu-style features: negatives become -0.0, one channel entirely
+    relu = t.features.data * (t.features.data > 0)
+    relu[:, 1] = -0.0
+    cases.append((sparse.SparseVoxelTensor(t.coords, relu, t.spatial_shape),
+                  sparse._conv_pairs(t, t.coords, 1), len(t)))
     for src, pairs, n_out in cases:
         feats = ad.parameter(src.features.data.copy())
         kern = ad.parameter(r.normal(size=(27, 3, 4)))
@@ -383,7 +388,7 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
         ad.mul(out, ad.constant(g)).sum().backward()
         want = add_at_reference(feats.data, kern.data, bias.data, pairs, n_out, g)
         for got, ref in zip((out.data, feats.grad, kern.grad, bias.grad), want):
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))   # tells -0.0 from 0.0
 
 
 def test_rulebook_cache_stays_within_its_byte_budget(monkeypatch):
