@@ -323,17 +323,20 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
     """numpy reduces fastest along an outer axis: put a short softmax axis first."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
 
-    return _make(out, (a,), vjp)
+def softmax_array_vjp(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """dS = P * (dP - rowsum(dP * P)) for P = softmax_array(S, axis)."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    out = softmax_array(a.data, axis)
+    return _make(out, (a,), lambda g: (softmax_array_vjp(out, g, axis),))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

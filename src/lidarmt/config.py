@@ -47,7 +47,6 @@ DEFAULTS = {
     "model.cross_task.layers": (3, "stacked decoder layers"),
     "model.cross_task.centers": (16, "number of center queries"),
     "model.cross_task.window": (7, "BEV window size for center cross-attention"),
-    "model.aux_on_voxels": (False, "auxiliary seg supervision on voxels instead of BEV"),
     "train.steps": (200, "optimization steps"),
     "train.peak_lr": (3e-3, "one-cycle peak learning rate"),
     "train.div_factor": (25.0, "initial lr = peak / div_factor"),

@@ -56,7 +56,7 @@ def init_mha(q_dim: int, kv_dim: int, out_dim: int, n_heads: int, head_dim: int,
 def attend(q_in: ad.Tensor, kv_in: ad.Tensor, p: MhaParams,
            mask: np.ndarray | None = None) -> ad.Tensor:
     """Multi-head scaled dot-product attention over row sets; True in the
-    (tq, tk) mask blocks a key.
+    (tq, tk) mask blocks a key, and a row that blocks every key is a ValueError.
 
     Scaling is 1/sqrt(head_dim); with a single head this is exactly
     softmax(Q K^T / sqrt(C)) V followed by the output projection. Keys carry
@@ -70,44 +70,97 @@ def attend(q_in: ad.Tensor, kv_in: ad.Tensor, p: MhaParams,
     With few keys the softmax reduces long rows of a C-ordered (n_heads, tk, tq)
     copy. Up to 7 keys that is byte-identical to a trailing key axis (numpy sums
     fewer than 8 in sequence); from 8 keys on, outputs may move by an ulp.
+
+    One tape node, as ad.layer_norm is. The vjp replays the vjps of the tape the
+    composition of matmul, reshape, transpose and softmax would record, on the
+    same operand views, so forward and gradients are byte-identical to it: each
+    GEMM C = A B sends back dA = dC B^T and dB = A^T dC, and the softmax
+    dS = P * (dP - rowsum(dP * P)) (FlashAttention's backward, arXiv 2205.14135).
+    Self-attention (q_in is kv_in) sums its input gradient as the composed tape
+    does: (attention-weights path + query projection) + logits path.
     """
     tq, tk = q_in.data.shape[0], kv_in.data.shape[0]
     nh, dh = p.n_heads, p.head_dim
-    scale = ad.constant(1.0 / np.sqrt(dh))
-    blocked = None if mask is None else np.where(mask, -1e30, 0.0)
+    if mask is not None and mask.all(axis=1).any():
+        raise ValueError("attention mask blocks every key of a query row")
+    scale = 1.0 / np.sqrt(dh)
+    x, y = q_in.data, kv_in.data
+    wq, wk, wv, wo = p.wq.data, p.wk.data, p.wv.data, p.wo.data
+    parents = (q_in, kv_in, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo)
     if tq <= tk:
-        q = ad.mul(_split_heads(q_in @ p.wq + p.bq, nh, dh), scale)    # (nh, tq, dh)
-        # Wk_h on the left keeps the gradient of wk C-ordered for AdamW
-        q_wk = ad.transpose(_split_heads(p.wk, nh, dh) @ ad.transpose(q, (0, 2, 1)),
-                            (0, 2, 1))                                  # (nh, tq, d_kv)
-        logits = ad.reshape(q_wk, (nh * tq, -1)) @ ad.transpose(kv_in, (1, 0))
-        if blocked is not None:
-            logits = logits + ad.constant(np.tile(blocked, (nh, 1)))
-        attn_kv = ad.reshape(ad.softmax(logits, axis=-1) @ kv_in, (nh, tq, -1))
-        ctx = attn_kv @ _split_heads(p.wv, nh, dh) + ad.reshape(p.bv, (nh, 1, dh))
-        return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tq, nh * dh)) @ p.wo + p.bo
-    k_t = ad.transpose(ad.mul(_split_heads(kv_in @ p.wk, nh, dh), scale),
-                       (0, 2, 1))                                       # (nh, dh, tk)
-    wq_k = ad.transpose(_split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))    # (d_q, nh, tk)
-    bq_k = ad.reshape(p.bq, (nh, 1, dh)) @ k_t                          # (nh, 1, tk)
-    logits = _transposed(q_in @ ad.reshape(wq_k, (-1, nh * tk))
-                         + ad.reshape(bq_k, (1, nh * tk)), (nh, tk, tq))
-    if blocked is not None:
-        logits = logits + ad.constant(blocked.T[None])
-    v_wo = _split_heads(kv_in @ p.wv + p.bv, nh, dh) @ ad.reshape(p.wo, (nh, dh, -1))
-    attn = _transposed(ad.reshape(ad.softmax(logits, axis=1), (nh * tk, tq)), (tq, nh * tk))
-    return attn @ ad.reshape(v_wo, (nh * tk, -1)) + p.bo
+        q = _split_heads(x @ wq + p.bq.data, nh, dh) * scale           # (nh, tq, dh)
+        wk_h = _split_heads(wk, nh, dh)
+        q_wk = (wk_h @ q.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(nh * tq, -1)
+        logits = q_wk @ y.T
+        if mask is not None:
+            logits = logits + np.tile(np.where(mask, -1e30, 0.0), (nh, 1))
+        attn = ad.softmax_array(logits, -1)
+        attn_kv = (attn @ y).reshape(nh, tq, -1)
+        wv_h = _split_heads(wv, nh, dh)
+        ctx = attn_kv @ wv_h + p.bv.data.reshape(nh, 1, dh)
+        ctx = ctx.transpose(1, 0, 2).reshape(tq, nh * dh)
+
+        def vjp(g):
+            g_ctx = (g @ wo.T).reshape(tq, nh, dh).transpose(1, 0, 2)
+            g_akv = (g_ctx @ wv_h.transpose(0, 2, 1)).reshape(nh * tq, -1)
+            g_logits = ad.softmax_array_vjp(attn, g_akv @ y.T, -1)
+            g_m = (g_logits @ y).reshape(nh, tq, -1).transpose(0, 2, 1)   # (nh, d_kv, tq)
+            g_q = (wk_h.transpose(0, 2, 1) @ g_m).transpose(0, 2, 1) * scale
+            g_q = g_q.transpose(1, 0, 2).reshape(tq, -1)
+            g_x = g_q @ wq.T
+            g_y = attn.T @ g_akv
+            g_y_logits = (q_wk.T @ g_logits).T
+            if q_in is kv_in:
+                g_x, g_y = (g_y + g_x) + g_y_logits, None
+            else:
+                g_y = g_y + g_y_logits
+            return (g_x, g_y, x.T @ g_q, g_q.sum(axis=0),
+                    (g_m @ q).transpose(1, 0, 2).reshape(wk.shape),
+                    (attn_kv.transpose(0, 2, 1) @ g_ctx).transpose(1, 0, 2).reshape(wv.shape),
+                    ad._unbroadcast(g_ctx, (nh, 1, dh)).reshape(-1),
+                    ctx.T @ g, g.sum(axis=0))
+
+        return ad._make(ctx @ wo + p.bo.data, parents, vjp)
+    k_t = (_split_heads(y @ wk, nh, dh) * scale).transpose(0, 2, 1)       # (nh, dh, tk)
+    wq_h = _split_heads(wq, nh, dh)
+    wq_k = (wq_h @ k_t).transpose(1, 0, 2).reshape(-1, nh * tk)          # (d_q, nh tk)
+    bq_h = p.bq.data.reshape(nh, 1, dh)
+    logits = _transposed(x @ wq_k + (bq_h @ k_t).reshape(1, nh * tk), (nh, tk, tq))
+    if mask is not None:
+        logits = logits + np.where(mask, -1e30, 0.0).T[None]
+    v = _split_heads(y @ wv + p.bv.data, nh, dh)                          # (nh, tk, dh)
+    wo_h = wo.reshape(nh, dh, -1)
+    v_wo = (v @ wo_h).reshape(nh * tk, -1)
+    attn = ad.softmax_array(logits, 1)
+    attn_t = _transposed(attn.reshape(nh * tk, tq), (tq, nh * tk))
+
+    def vjp(g):
+        g_vwo = (attn_t.T @ g).reshape(nh, tk, -1)
+        g_logits = ad.softmax_array_vjp(attn, _transposed(g @ v_wo.T, (nh, tk, tq)), 1)
+        g_l = _transposed(g_logits.reshape(nh * tk, tq), (tq, nh * tk))
+        g_bqk = g_l.sum(axis=0, keepdims=True).reshape(nh, 1, tk)
+        g_wqk = (x.T @ g_l).reshape(-1, nh, tk).transpose(1, 0, 2)       # (nh, d_q, tk)
+        g_kt = bq_h.transpose(0, 2, 1) @ g_bqk + wq_h.transpose(0, 2, 1) @ g_wqk
+        g_k = (g_kt.transpose(0, 2, 1) * scale).transpose(1, 0, 2).reshape(tk, -1)
+        g_v = (g_vwo @ wo_h.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(tk, -1)
+        return (g_l @ wq_k.T, g_k @ wk.T + g_v @ wv.T,
+                (g_wqk @ k_t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(wq.shape),
+                (g_bqk @ k_t.transpose(0, 2, 1)).reshape(-1), y.T @ g_k, y.T @ g_v,
+                g_v.sum(axis=0), (v.transpose(0, 2, 1) @ g_vwo).reshape(wo.shape),
+                g.sum(axis=0))
+
+    return ad._make(attn_t @ v_wo + p.bo.data, parents, vjp)
 
 
-def _transposed(x: ad.Tensor, shape: tuple) -> ad.Tensor:
-    """C-ordered copy of x.T as `shape` in both passes: no GEMM sees a transposed operand."""
-    x = ad.reshape(ad.reshape(x, (-1,)), x.data.shape)    # the backward flattens here
-    return ad.reshape(ad.reshape(ad.transpose(x, (1, 0)), (-1,)), shape)
+def _transposed(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """C-ordered copy of x.T as `shape`: no GEMM sees a transposed operand. The
+    gradient of the copy is the same copy of the incoming gradient."""
+    return x.T.reshape(-1).reshape(shape)
 
 
-def _split_heads(x: ad.Tensor, nh: int, dh: int) -> ad.Tensor:
+def _split_heads(x: np.ndarray, nh: int, dh: int) -> np.ndarray:
     """(rows, nh * dh) -> (nh, rows, dh), for activations and weights alike."""
-    return ad.transpose(ad.reshape(x, (-1, nh, dh)), (1, 0, 2))
+    return x.reshape(-1, nh, dh).transpose(1, 0, 2)
 
 
 def init_class_embedding(pred: ad.Tensor, feats: ad.Tensor,
@@ -200,7 +253,6 @@ class CrossTaskParams:
 def init_cross_task(width: int, voxel_dim: int, bev_dim: int, grid_hw: tuple,
                     rng: np.random.Generator, n_layers: int = 3, n_heads: int = 4,
                     head_dim: int = 32, ffn_hidden: int = 64, window: int = 7,
-                    class_src_dim: int | None = None,
                     zero_residual: bool = True) -> CrossTaskParams:
     """zero_residual starts every residual branch at zero, so the decoder is
     the identity at init and the class embedding begins as the raw
@@ -222,8 +274,7 @@ def init_cross_task(width: int, voxel_dim: int, bev_dim: int, grid_hw: tuple,
             layer.ffn.w2.data[:] = 0.0
         p.layers.append(layer)
     h, w = grid_hw
-    p.proj_class = linear_unit(rng, bev_dim if class_src_dim is None else class_src_dim,
-                               width)
+    p.proj_class = linear_unit(rng, bev_dim, width)
     p.proj_center = linear_unit(rng, bev_dim, width)
     p.pos_emb = ad.parameter(0.02 * rng.normal(size=(h * w, width)))
     p.kernel_proj = linear_unit(rng, 2 * voxel_dim, width)

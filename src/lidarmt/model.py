@@ -38,9 +38,9 @@ class ForwardOut:
     seg_logits: ad.Tensor            # (M, K) at full-resolution voxels
     heatmap: ad.Tensor               # (K_thing, Hb, Wb) probabilities
     reg_map: ad.Tensor               # (8, Hb, Wb)
-    aux_logits: ad.Tensor            # (M_aux, K) coarse supervision sites
-    aux_labels: np.ndarray           # (M_aux,) labels aligned with aux_logits
-    bev_cells: np.ndarray            # (M_bev, 2) valid (u, v) cells (BEV aux mode)
+    aux_logits: ad.Tensor            # (M_bev, K) at the occupied BEV cells
+    aux_labels: np.ndarray           # (M_bev,) majority voxel label per cell
+    bev_cells: np.ndarray            # (M_bev, 2) occupied (u, v) cells
     geometry: BevGeometry
     proposals: xtk.CenterQuerySet | None
     class_embedding: ad.Tensor | None
@@ -94,9 +94,7 @@ class Model:
         self.hm_head = bb.conv2d_unit(rng, self.bev_channels, NUM_THING)
         self.hm_head.bias.data[:] = -2.19  # start near sigmoid ~ 0.1
         self.reg_head = bb.conv2d_unit(rng, self.bev_channels, REG_CHANNELS)
-        self.aux_on_voxels = bool(cfg["model.aux_on_voxels"])
-        aux_dim = c if self.aux_on_voxels else self.bev_channels
-        self.aux_head = bb.linear_unit(rng, aux_dim, NUM_CLASSES)
+        self.aux_head = bb.linear_unit(rng, self.bev_channels, NUM_CLASSES)
         self.decoder = bb.init_decoder(self.bcfg, bottleneck, rng)
         if cfg["model.cross_task.enabled"]:
             self.cross_task = xtk.init_cross_task(
@@ -107,7 +105,6 @@ class Model:
                 head_dim=cfg["model.cross_task.head_dim"],
                 ffn_hidden=cfg["model.cross_task.ffn"],
                 window=cfg["model.cross_task.window"],
-                class_src_dim=aux_dim,
             )
             width = cfg["model.cross_task.width"]
             self.center_score = bb.linear_unit(rng, width, 1, scale=1e-2)
@@ -211,12 +208,8 @@ class Model:
         injected_t = bottleneck.with_features(injected)
         decoded = bb.decode(scales, injected_t, self.decoder)
 
-        if self.aux_on_voxels:
-            aux_feats = decoded.features
-            aux_labels = frame.voxel_labels
-        else:
-            aux_feats = ad.gather_rows(bev_rows, cell_rows)
-            aux_labels = bev_cell_majority_labels(frame, cells, self.hw_bev)
+        aux_feats = ad.gather_rows(bev_rows, cell_rows)
+        aux_labels = bev_cell_majority_labels(frame, cells, self.hw_bev)
         aux_logits = bb.aux_seg_head(aux_feats, self.aux_head)
 
         proposals = None
@@ -225,7 +218,8 @@ class Model:
             aux_pred = ad.softmax(aux_logits, axis=-1)
             eps0 = xtk.init_class_embedding(aux_pred, aux_feats)
             eps0 = eps0 @ self.cross_task.proj_class.weight + self.cross_task.proj_class.bias
-            base_prob = ad.sigmoid(hm_logits).data
+            with ad.no_grad():   # proposals pick cells: backward never reaches them
+                base_prob = ad.sigmoid(hm_logits).data
             proposals = xtk.propose_centers(base_prob, bev_rows,
                                             self.cfg["model.cross_task.centers"],
                                             self.cross_task.proj_center,

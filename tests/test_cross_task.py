@@ -409,20 +409,60 @@ def test_center_window_attention_matches_per_query_loop(side, window):
     np.testing.assert_allclose(got.data, cen.data + want, rtol=1e-12, atol=1e-12)
 
 
+def _transposed(x, shape):
+    """C-ordered copy of x.T as `shape` in both passes: no GEMM sees a transposed operand."""
+    x = ad.reshape(ad.reshape(x, (-1,)), x.data.shape)    # the backward flattens here
+    return ad.reshape(ad.reshape(ad.transpose(x, (1, 0)), (-1,)), shape)
+
+
+def _split_heads(x, nh, dh):
+    """(rows, nh * dh) -> (nh, rows, dh), for activations and weights alike."""
+    return ad.transpose(ad.reshape(x, (-1, nh, dh)), (1, 0, 2))
+
+
+def _attend_composed(q_in, kv_in, p, mask=None):
+    """`attend` as it was when built from 25 to 37 tape primitives: the byte
+    reference for the one-node form, forward and gradients."""
+    tq, tk = q_in.data.shape[0], kv_in.data.shape[0]
+    nh, dh = p.n_heads, p.head_dim
+    scale = ad.constant(1.0 / np.sqrt(dh))
+    blocked = None if mask is None else np.where(mask, -1e30, 0.0)
+    if tq <= tk:
+        q = ad.mul(_split_heads(q_in @ p.wq + p.bq, nh, dh), scale)
+        q_wk = ad.transpose(_split_heads(p.wk, nh, dh) @ ad.transpose(q, (0, 2, 1)),
+                            (0, 2, 1))
+        logits = ad.reshape(q_wk, (nh * tq, -1)) @ ad.transpose(kv_in, (1, 0))
+        if blocked is not None:
+            logits = logits + ad.constant(np.tile(blocked, (nh, 1)))
+        attn_kv = ad.reshape(ad.softmax(logits, axis=-1) @ kv_in, (nh, tq, -1))
+        ctx = attn_kv @ _split_heads(p.wv, nh, dh) + ad.reshape(p.bv, (nh, 1, dh))
+        return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tq, nh * dh)) @ p.wo + p.bo
+    k_t = ad.transpose(ad.mul(_split_heads(kv_in @ p.wk, nh, dh), scale), (0, 2, 1))
+    wq_k = ad.transpose(_split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))
+    bq_k = ad.reshape(p.bq, (nh, 1, dh)) @ k_t
+    logits = _transposed(q_in @ ad.reshape(wq_k, (-1, nh * tk))
+                         + ad.reshape(bq_k, (1, nh * tk)), (nh, tk, tq))
+    if blocked is not None:
+        logits = logits + ad.constant(blocked.T[None])
+    v_wo = _split_heads(kv_in @ p.wv + p.bv, nh, dh) @ ad.reshape(p.wo, (nh, dh, -1))
+    attn = _transposed(ad.reshape(ad.softmax(logits, axis=1), (nh * tk, tq)), (tq, nh * tk))
+    return attn @ ad.reshape(v_wo, (nh * tk, -1)) + p.bo
+
+
 def _attend_keys_trailing(q_in, kv_in, p, mask=None):
     """The few-key branch of `attend` with the key axis trailing, softmax over
     (tq, nh, tk) logits: the byte reference for the keys-leading layout."""
     tq, tk = q_in.data.shape[0], kv_in.data.shape[0]
     nh, dh = p.n_heads, p.head_dim
     scale = ad.constant(1.0 / np.sqrt(dh))
-    k_t = ad.transpose(ad.mul(xt._split_heads(kv_in @ p.wk, nh, dh), scale), (0, 2, 1))
-    wq_k = ad.transpose(xt._split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))
+    k_t = ad.transpose(ad.mul(_split_heads(kv_in @ p.wk, nh, dh), scale), (0, 2, 1))
+    wq_k = ad.transpose(_split_heads(p.wq, nh, dh) @ k_t, (1, 0, 2))
     bq_k = ad.reshape(p.bq, (nh, 1, dh)) @ k_t
     logits = ad.reshape(q_in @ ad.reshape(wq_k, (-1, nh * tk))
                         + ad.reshape(bq_k, (1, nh * tk)), (tq, nh, tk))
     if mask is not None:
         logits = logits + ad.constant(np.where(mask, -1e30, 0.0)[:, None, :])
-    v_wo = xt._split_heads(kv_in @ p.wv + p.bv, nh, dh) @ ad.reshape(p.wo, (nh, dh, -1))
+    v_wo = _split_heads(kv_in @ p.wv + p.bv, nh, dh) @ ad.reshape(p.wo, (nh, dh, -1))
     attn = ad.reshape(ad.softmax(logits, axis=-1), (tq, nh * tk))
     return attn @ ad.reshape(v_wo, (nh * tk, -1)) + p.bo
 
@@ -486,14 +526,78 @@ def test_few_key_softmax_runs_along_a_leading_key_axis(monkeypatch):
     """The few-key softmax reduces axis 1 of a C-contiguous (nh, tk, tq)
     array; a trailing short key axis is several times slower in numpy."""
     seen = []
-    softmax = ad.softmax
+    softmax = ad.softmax_array
 
-    def spy(a, axis=-1):
-        seen.append((axis, a.data.shape, a.data.flags.c_contiguous))
-        return softmax(a, axis=axis)
+    def spy(x, axis):
+        seen.append((axis, x.shape, x.flags.c_contiguous))
+        return softmax(x, axis)
 
-    monkeypatch.setattr(ad, "softmax", spy)
+    monkeypatch.setattr(ad, "softmax_array", spy)
     for q_in, kv_in, p, mask, _ in _few_key_cases(6, seed=70):
         seen.clear()
         xt.attend(q_in, kv_in, p, mask)
         assert seen == [(1, (p.n_heads, 6, q_in.data.shape[0]), True)]
+
+
+def _fused_cases(tk, seed):
+    """(q_in, kv_in, params, mask, output weights) in both fold branches
+    (tq from 1 to 37), 1-4 heads, with and without a mask, and self-attention
+    attend(x, x), whose mask keeps each row's own key."""
+    r = rng(seed)
+    for heads in (1, 2, 3, 4):
+        for masked in (False, True):
+            tqs = sorted({1, (tk + 1) // 2, tk, tk + 1, 37})
+            for tq, self_attn in [(tq, False) for tq in tqs] + [(tk, True)]:
+                q_dim = 16 if self_attn else 24
+                p = _random_mha(r, q_dim=q_dim, kv_dim=16, out_dim=20, heads=heads,
+                                head_dim=8)
+                q_in = ad.parameter(r.normal(size=(tq, q_dim)))
+                kv_in = q_in if self_attn else ad.parameter(r.normal(size=(tk, 16)))
+                mask = None
+                if masked:
+                    mask = r.uniform(size=(tq, tk)) < 0.4
+                    keep = np.arange(tq) if self_attn else r.integers(0, tk, size=tq)
+                    mask[np.arange(tq), keep] = False
+                yield q_in, kv_in, p, mask, r.normal(size=(tq, 20))
+
+
+@pytest.mark.parametrize("tk", range(1, 13))
+def test_attend_is_byte_identical_to_composed_form(tk):
+    """One tape node, and the forward and every gradient equal the composed
+    tape's in every bit, self-attention's three-term input gradient included."""
+    for q_in, kv_in, p, mask, w in _fused_cases(tk, seed=90 + tk):
+        tensors = [q_in] + ([] if kv_in is q_in else [kv_in]) \
+            + [t for _, t in pp.named_tensors(p)]
+        results = []
+        for fn in (xt.attend, _attend_composed):
+            for t in tensors:
+                t.grad = None
+            out = fn(q_in, kv_in, p, mask)
+            ad.mul(out, ad.constant(w)).sum().backward()
+            results.append([out.data] + [t.grad for t in tensors])
+        for a, b in zip(*results):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_attend_records_one_tape_node():
+    r = rng(19)
+    p = _random_mha(r, q_dim=6, kv_dim=6, out_dim=6, heads=2, head_dim=3)
+    x = ad.parameter(r.normal(size=(5, 6)))
+    out = xt.attend(x, x, p)
+    assert out._parents == (x, x, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo)
+    assert all(q._vjp is None for q in out._parents)
+
+
+@pytest.mark.parametrize("tq,tk", [(3, 7), (7, 3), (1, 1)])
+def test_attend_rejects_a_fully_masked_query_row(tq, tk):
+    """Such a row used to attend uniformly to the keys it blocks."""
+    r = rng(20)
+    p = _random_mha(r, q_dim=4, kv_dim=4, out_dim=4, heads=2, head_dim=2)
+    mask = np.zeros((tq, tk), dtype=bool)
+    mask[tq // 2] = True
+    with pytest.raises(ValueError, match="blocks every key"):
+        xt.attend(ad.Tensor(r.normal(size=(tq, 4))), ad.Tensor(r.normal(size=(tk, 4))),
+                  p, mask)
+    mask[tq // 2, -1] = False
+    xt.attend(ad.Tensor(r.normal(size=(tq, 4))), ad.Tensor(r.normal(size=(tk, 4))), p, mask)
