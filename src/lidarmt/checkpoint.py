@@ -1,11 +1,14 @@
-"""Checkpoint files: named float64 parameter tensors, optimizer moments,
-the training step, and the canonical config that produced the model.
+"""Checkpoint files: the canonical config that produced the model, its hash,
+the training step and the named float64 parameter tensors. No optimizer
+state is stored, so training cannot resume bit-exactly from a checkpoint.
 
-Same container family as the dataset format: magic, version, little-endian
-records. load(save(model)) round trips parameters bit-exactly."""
+Same container family as the dataset format: magic, version, then CRC32-
+checked records, one for the config and step and one per parameter.
+load(save(model)) round trips parameters bit-exactly."""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +16,7 @@ import numpy as np
 from . import container as cx
 
 _MAGIC = b"LMTCKPT\x00"
-_VERSION = 1
+_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -26,37 +29,29 @@ class CheckpointData:
     config_hash: str
     step: int
     params: dict = field(default_factory=dict)   # name -> float64 array
-    adam_m: dict = field(default_factory=dict)
-    adam_v: dict = field(default_factory=dict)
 
 
 def save_checkpoint(path, ckpt: CheckpointData) -> None:
     with cx.atomic_write(path) as f:
         cx.write_header(f, _MAGIC, _VERSION)
-        cx.write_str(f, ckpt.config_hash)
-        f.write(len(ckpt.config_text.encode()).to_bytes(4, "little"))
-        f.write(ckpt.config_text.encode())
-        cx.write_u64(f, ckpt.step)
-        for table, tag in ((ckpt.params, "param"), (ckpt.adam_m, "adam_m"),
-                           (ckpt.adam_v, "adam_v")):
-            cx.write_u32(f, len(table))
-            for name in sorted(table):
-                cx.write_str(f, f"{tag}/{name}")
-                cx.write_array(f, np.asarray(table[name], dtype=np.float64))
+        cx.write_record(f, cx.pack_str(ckpt.config_hash) + cx.pack_str(ckpt.config_text, "<I")
+                        + struct.pack("<QI", ckpt.step, len(ckpt.params)))
+        for name in sorted(ckpt.params):
+            a = np.asarray(ckpt.params[name], dtype="<f8", order="C")
+            cx.write_record(f, cx.pack_str(name) + struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape), a)
 
 
 def load_checkpoint(path) -> CheckpointData:
     with open(path, "rb") as f:
-        cx.check_header(f, _MAGIC, _VERSION)
-        cfg_hash = cx.read_str(f)
-        n = int.from_bytes(cx.read_exact(f, 4), "little")
-        cfg_text = cx.read_exact(f, n).decode("utf-8")
-        step = cx.read_u64(f)
+        r = cx.RecordReader(f, _MAGIC, _VERSION)
+        cfg_hash, cfg_text = r.read_str(), r.read_str("<I")
+        step, count = r.unpack("<QI")
+        r.end_record()
         out = CheckpointData(config_text=cfg_text, config_hash=cfg_hash, step=step)
-        for table in (out.params, out.adam_m, out.adam_v):
-            count = cx.read_u32(f)
-            for _ in range(count):
-                name = cx.read_str(f)
-                arr = cx.read_array(f)
-                table[name.split("/", 1)[1]] = arr
+        for _ in range(count):
+            name = r.read_str()
+            (ndim,) = r.unpack("<B")
+            out.params[name] = r.read_array(r.unpack(f"<{ndim}I"), "<f8")
+            r.end_record()
+        r.end()
         return out

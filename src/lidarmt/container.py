@@ -1,14 +1,19 @@
-"""Shared little-endian binary container primitives.
+"""Shared little-endian binary container primitives (format version 2).
 
 Dataset files and checkpoints use the same family: an 8-byte magic, a u32
-version, then length-prefixed records. Numeric payloads are little-endian;
-scalars are 32-bit unless a record's dtype header says otherwise.
+version, then records. A record is a head of fixed-width fields and
+length-prefixed strings, the raw little-endian bytes of zero or more arrays,
+and a u32 CRC32 of all of it. A reader checks every length against the bytes
+left in the file before it reads or allocates, and every record against its
+CRC, so a truncated or corrupted file raises a `ContainerError`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import zlib
 from contextlib import contextmanager
 from typing import BinaryIO
 
@@ -27,6 +32,10 @@ class TruncatedError(ContainerError):
     """File ended in the middle of a record."""
 
 
+class ChecksumError(ContainerError):
+    """A record's bytes do not match its CRC32."""
+
+
 @contextmanager
 def atomic_write(path, mode: str = "wb"):
     """Write through a sibling temp file that `os.replace` moves onto `path` on
@@ -43,81 +52,78 @@ def atomic_write(path, mode: str = "wb"):
         raise
 
 
-DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i4"), 3: np.dtype("<i8")}
-DTYPE_TO_CODE = {v: k for k, v in DTYPE_CODES.items()}
-
-
-def read_exact(f: BinaryIO, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedError(f"expected {n} bytes, got {len(buf)}")
-    return buf
-
-
 def write_header(f: BinaryIO, magic: bytes, version: int) -> None:
     f.write(magic)
     f.write(struct.pack("<I", version))
 
 
-def check_header(f: BinaryIO, magic: bytes, version: int) -> None:
-    got = read_exact(f, 8)
-    if got != magic:
-        raise VersionError(f"bad magic {got!r}, expected {magic!r}")
-    (ver,) = struct.unpack("<I", read_exact(f, 4))
-    if ver != version:
-        raise VersionError(f"unsupported version {ver}, expected {version}")
-
-
-def write_u32(f: BinaryIO, x: int) -> None:
-    f.write(struct.pack("<I", x))
-
-
-def read_u32(f: BinaryIO) -> int:
-    return struct.unpack("<I", read_exact(f, 4))[0]
-
-
-def write_i32(f: BinaryIO, x: int) -> None:
-    f.write(struct.pack("<i", x))
-
-
-def read_i32(f: BinaryIO) -> int:
-    return struct.unpack("<i", read_exact(f, 4))[0]
-
-
-def write_u64(f: BinaryIO, x: int) -> None:
-    f.write(struct.pack("<Q", x))
-
-
-def read_u64(f: BinaryIO) -> int:
-    return struct.unpack("<Q", read_exact(f, 8))[0]
-
-
-def write_str(f: BinaryIO, s: str) -> None:
+def pack_str(s: str, fmt: str = "<H") -> bytes:
+    """UTF-8 bytes of `s` after their length, packed as `fmt`."""
     raw = s.encode("utf-8")
-    f.write(struct.pack("<H", len(raw)))
-    f.write(raw)
+    return struct.pack(fmt, len(raw)) + raw
 
 
-def read_str(f: BinaryIO) -> str:
-    (n,) = struct.unpack("<H", read_exact(f, 2))
-    return read_exact(f, n).decode("utf-8")
+def write_record(f: BinaryIO, head: bytes, *arrays: np.ndarray) -> None:
+    """`head`, then each C-contiguous little-endian array straight from its
+    buffer, then the u32 CRC32 of all of them."""
+    f.write(head)
+    crc = zlib.crc32(head)
+    for a in arrays:
+        f.write(a)
+        crc = zlib.crc32(a, crc)
+    f.write(struct.pack("<I", crc))
 
 
-def write_array(f: BinaryIO, a: np.ndarray) -> None:
-    """dtype code u8, ndim u8, dims u32 each, then raw little-endian data."""
-    a = np.ascontiguousarray(a)
-    code = DTYPE_TO_CODE[a.dtype.newbyteorder("<")]
-    f.write(struct.pack("<BB", code, a.ndim))
-    for d in a.shape:
-        write_u32(f, d)
-    f.write(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
+class RecordReader:
+    """Reads the records `write_record` wrote after `write_header`."""
 
+    def __init__(self, f: BinaryIO, magic: bytes, version: int):
+        self.f, self.crc = f, 0
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+        got = self.read(len(magic))
+        if got != magic:
+            raise VersionError(f"bad magic {got!r}, expected {magic!r}")
+        (ver,) = self.unpack("<I")
+        if ver != version:
+            raise VersionError(f"unsupported version {ver}, expected {version}")
+        self.crc = 0
 
-def read_array(f: BinaryIO) -> np.ndarray:
-    code, ndim = struct.unpack("<BB", read_exact(f, 2))
-    if code not in DTYPE_CODES:
-        raise ContainerError(f"unknown dtype code {code}")
-    shape = tuple(read_u32(f) for _ in range(ndim))
-    dtype = DTYPE_CODES[code]
-    raw = read_exact(f, dtype.itemsize * int(np.prod(shape, dtype=np.int64)))
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    def read(self, n: int) -> bytes:
+        return self.read_array((n,), np.uint8).tobytes()
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def read_str(self, fmt: str = "<H") -> str:
+        (n,) = self.unpack(fmt)
+        try:
+            return self.read(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ContainerError(f"string is not UTF-8: {e}") from None
+
+    def read_array(self, shape: tuple, dtype) -> np.ndarray:
+        """Read into a new array of `shape`, never allocating more than the
+        bytes left in the file."""
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        if n > self.left:
+            raise TruncatedError(f"record needs {n} more bytes, {self.left} left")
+        self.left -= n
+        try:
+            a = np.empty(shape, dtype)
+        except ValueError as e:
+            raise ContainerError(f"impossible array shape {shape}: {e}") from None
+        if self.f.readinto(a) != a.nbytes:
+            raise TruncatedError(f"file ended inside a {shape} array")
+        self.crc = zlib.crc32(a, self.crc)
+        return a
+
+    def end_record(self) -> None:
+        want = self.crc
+        (got,) = self.unpack("<I")
+        self.crc = 0
+        if got != want:
+            raise ChecksumError(f"record CRC32 {got:#010x}, bytes give {want:#010x}")
+
+    def end(self) -> None:
+        if self.left:
+            raise ContainerError(f"{self.left} bytes after the last record")

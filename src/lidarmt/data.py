@@ -16,6 +16,7 @@ int32 so the 32-bit on-disk round trip is exact.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +38,7 @@ _SIZE_RANGES = {
 }
 
 _DATASET_MAGIC = b"LMTDATA\x00"
-_DATASET_VERSION = 1
+_DATASET_VERSION = 2
 
 
 class PlacementError(Exception):
@@ -387,51 +388,42 @@ def inverse_augment_params(params: AugmentParams) -> list[AugmentParams]:
 def write_dataset(samples: list[SceneSample], path) -> None:
     with cx.atomic_write(path) as f:
         cx.write_header(f, _DATASET_MAGIC, _DATASET_VERSION)
-        cx.write_u32(f, len(samples))
+        cx.write_record(f, struct.pack("<I", len(samples)))
         for s in samples:
-            payload = _encode_sample(s)
-            cx.write_u64(f, len(payload))
-            f.write(payload)
+            cx.write_record(f, *_encode_sample(s))
 
 
 def read_dataset(path) -> list[SceneSample]:
     with open(path, "rb") as f:
-        cx.check_header(f, _DATASET_MAGIC, _DATASET_VERSION)
-        n = cx.read_u32(f)
-        out = []
-        for _ in range(n):
-            length = cx.read_u64(f)
-            out.append(_decode_sample(cx.read_exact(f, length)))
+        r = cx.RecordReader(f, _DATASET_MAGIC, _DATASET_VERSION)
+        (n,) = r.unpack("<I")
+        r.end_record()
+        out = [_read_sample(r) for _ in range(n)]
+        r.end()
         return out
 
 
-def _encode_sample(s: SceneSample) -> bytes:
-    import io
-    buf = io.BytesIO()
-    cx.write_i32(buf, s.frame_id)
-    cx.write_u32(buf, len(s.points))
-    cx.write_u32(buf, len(s.boxes))
-    buf.write(s.points.astype("<f4", copy=False).tobytes())
-    buf.write(s.labels.astype("<i4", copy=False).tobytes())
-    for b in s.boxes:
-        arr = np.concatenate([b.center, b.size, [b.yaw]]).astype("<f4")
-        buf.write(arr.tobytes())
-        cx.write_i32(buf, b.class_id)
-    return buf.getvalue()
+# One box on disk: center, size and yaw as f32, then the class id.
+_BOX = np.dtype([("f", "<f4", 7), ("class_id", "<i4")])
 
 
-def _decode_sample(payload: bytes) -> SceneSample:
-    import io
-    buf = io.BytesIO(payload)
-    frame_id = cx.read_i32(buf)
-    n_pts = cx.read_u32(buf)
-    n_boxes = cx.read_u32(buf)
-    pts = np.frombuffer(cx.read_exact(buf, 20 * n_pts), dtype="<f4").reshape(n_pts, 5)
-    labels = np.frombuffer(cx.read_exact(buf, 4 * n_pts), dtype="<i4")
-    boxes = []
-    for _ in range(n_boxes):
-        raw = np.frombuffer(cx.read_exact(buf, 28), dtype="<f4")
-        cls = cx.read_i32(buf)
-        boxes.append(Box(center=raw[:3], size=raw[3:6], yaw=float(raw[6]), class_id=cls))
-    return SceneSample(points=pts.copy(), labels=labels.copy(), boxes=boxes,
-                       frame_id=frame_id)
+def _encode_sample(s: SceneSample) -> tuple:
+    """The record of one sample: (head, points, labels, boxes)."""
+    boxes = np.array([(np.concatenate([b.center, b.size, [b.yaw]]), b.class_id)
+                      for b in s.boxes], _BOX)
+    return (struct.pack("<iII", s.frame_id, len(s.points), len(s.boxes)),
+            np.asarray(s.points, "<f4", order="C"), np.asarray(s.labels, "<i4", order="C"),
+            boxes)
+
+
+def _read_sample(r: cx.RecordReader) -> SceneSample:
+    frame_id, n_pts, n_boxes = r.unpack("<iII")
+    pts, labels = r.read_array((n_pts, 5), "<f4"), r.read_array((n_pts,), "<i4")
+    raw = r.read_array((n_boxes,), _BOX)
+    r.end_record()
+    try:
+        boxes = [Box(center=f[:3], size=f[3:6], yaw=float(f[6]), class_id=c)
+                 for f, c in zip(raw["f"], raw["class_id"].tolist())]
+    except ValueError as e:
+        raise cx.ContainerError(f"frame {frame_id}: invalid box: {e}") from None
+    return SceneSample(points=pts, labels=labels, boxes=boxes, frame_id=frame_id)

@@ -146,6 +146,7 @@ class Model:
         return out
 
     def load_parameters(self, values: dict) -> None:
+        """Use the float64 arrays in `values` as the parameters, without a copy."""
         names = self.parameters()
         if set(names) != set(values):
             missing = sorted(set(names) - set(values))[:4]
@@ -156,7 +157,7 @@ class Model:
             if arr.shape != tensor.data.shape:
                 raise ValueError(f"checkpoint/model mismatch: {name} has shape "
                                  f"{arr.shape}, model expects {tensor.data.shape}")
-            tensor.data = arr.copy()
+            tensor.data = arr
 
     # -- forward pieces ---------------------------------------------------------
 

@@ -217,13 +217,12 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
 
 
 def save_model(path, model: Model, opt: AdamW | None, cfg: dict, step: int) -> None:
+    """Write the model's parameters, `cfg` and `step`. `opt` is unused: a
+    checkpoint holds no optimizer state."""
     params = {k: v.data for k, v in model.parameters().items()}
-    data = ck.CheckpointData(config_text=canonical_text(cfg),
-                             config_hash=config_hash(cfg), step=step,
-                             params=params,
-                             adam_m=dict(opt.m) if opt else {},
-                             adam_v=dict(opt.v) if opt else {})
-    ck.save_checkpoint(path, data)
+    ck.save_checkpoint(path, ck.CheckpointData(config_text=canonical_text(cfg),
+                                               config_hash=config_hash(cfg), step=step,
+                                               params=params))
 
 
 def load_model(path, cfg: dict | None = None):

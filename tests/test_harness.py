@@ -330,13 +330,14 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path, mo
     before = path.read_bytes()
     calls = []
 
-    def failing_write_array(f, a):
+    def failing_write_record(f, head, *arrays):
         calls.append(1)
         if len(calls) == 5:
             raise OSError("disk full")
-        f.write(np.ascontiguousarray(a).tobytes())
+        write_record(f, head, *arrays)
 
-    monkeypatch.setattr(cx, "write_array", failing_write_array)
+    write_record = cx.write_record
+    monkeypatch.setattr(cx, "write_record", failing_write_record)
     with pytest.raises(OSError, match="disk full"):
         tr.save_model(path, Model(cfg), None, cfg, step=1)
     assert path.read_bytes() == before
