@@ -39,6 +39,13 @@ def scene_spec_from_config(cfg: dict) -> SceneSpec:
     )
 
 
+def _sample_at(path, index: int):
+    samples = data.read_dataset(path)
+    if not 0 <= index < len(samples):
+        raise IndexError(f"sample index {index} outside 0..{len(samples) - 1}")
+    return samples[index]
+
+
 def cmd_gen_data(args) -> int:
     cfg = cf.load_config(args.spec)
     spec = scene_spec_from_config(cfg)
@@ -72,10 +79,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     cfg = cf.load_config(args.config) if args.config else None
     model, cfg, _data = tr.load_model(args.ckpt, cfg)
-    samples = data.read_dataset(args.input)
-    if not 0 <= args.index < len(samples):
-        raise IndexError(f"sample index {args.index} outside 0..{len(samples) - 1}")
-    result = tr.infer(model, samples[args.index], cfg)
+    result = tr.infer(model, _sample_at(args.input, args.index), cfg)
     with cx.atomic_write(args.out, "w") as f:
         json.dump(result, f)
     print(f"wrote predictions for sample {args.index} to {args.out}")
@@ -87,8 +91,7 @@ def cmd_inspect_offsets(args) -> int:
     model, cfg, _data = tr.load_model(args.ckpt, cfg)
     if not cfg["model.cross_space.enabled"]:
         raise cf.ConfigError("cross-space attention disabled; no offsets to inspect")
-    samples = data.read_dataset(args.input)
-    rows = tr.inspect_offsets(model, samples[args.index], args.quantile)
+    rows = tr.inspect_offsets(model, _sample_at(args.input, args.index), args.quantile)
     with cx.atomic_write(args.out, "w") as f:
         f.write(tr.format_offsets(rows))
     print(f"wrote {len(rows)} offset rows to {args.out}")

@@ -42,7 +42,7 @@ _DATASET_VERSION = 2
 
 
 class PlacementError(Exception):
-    """Box placement failed after the retry cap (scene too crowded)."""
+    """A box does not fit the extent, or the scene stays too crowded to place it."""
 
 
 class PoseError(Exception):
@@ -180,9 +180,8 @@ def _bev_corners(box: Box) -> np.ndarray:
     return local @ yaw_matrix(box.yaw).T + box.center[:2].astype(np.float64)
 
 
-def _bev_overlap(a: Box, b: Box) -> bool:
-    """Separating-axis test on the two BEV rectangles."""
-    ca, cb = _bev_corners(a), _bev_corners(b)
+def _bev_overlap(ca: np.ndarray, cb: np.ndarray) -> bool:
+    """Separating-axis test on two BEV rectangles given by their corners."""
     for rect in (ca, cb):
         for i in range(4):
             edge = rect[(i + 1) % 4] - rect[i]
@@ -200,23 +199,32 @@ def generate_scene(seed: int, spec: SceneSpec, frame_id: int = 0) -> SceneSample
     lo = np.asarray(spec.extent_min, dtype=np.float64)
     hi = np.asarray(spec.extent_max, dtype=np.float64)
 
+    # BEV corners, f32 centres and margins of the placed boxes. A margin bounds
+    # its box's half-diagonal: boxes two margins apart cannot overlap.
     boxes: list[Box] = []
+    corners, xy, reach = [], np.empty((0, 2), np.float32), np.empty(0)
     for cls, count in enumerate(spec.objects_per_class, start=1):
         (lr, wr, hr) = _SIZE_RANGES[cls]
         for _ in range(count):
             for attempt in range(spec.max_retries + 1):
                 size = np.array([rng.uniform(*lr), rng.uniform(*wr), rng.uniform(*hr)])
                 margin = 0.5 * math.hypot(size[0], size[1]) + 0.2
+                if min((hi[:2] - margin) - (lo[:2] + margin)) < 0:  # rng.uniform's test
+                    raise PlacementError(f"class-{cls} box needs {2 * margin:.2f} m; extent "
+                                         f"is {spec.extent_min}..{spec.extent_max}")
                 cx = rng.uniform(lo[0] + margin, hi[0] - margin)
                 cy = rng.uniform(lo[1] + margin, hi[1] - margin)
                 yaw = rng.uniform(-math.pi, math.pi)
                 cand = Box(center=np.array([cx, cy, size[2] / 2]), size=size,
                            yaw=yaw, class_id=cls)
-                gap_ok = all(
-                    np.linalg.norm(cand.center[:2] - b.center[:2]) >= spec.min_center_gap
-                    for b in boxes)
-                if gap_ok and not any(_bev_overlap(cand, b) for b in boxes):
+                dist = np.sqrt(((cand.center[:2] - xy) ** 2).sum(axis=1))  # f32, as norm() per pair
+                cc, near = _bev_corners(cand), np.flatnonzero(dist <= reach + margin)
+                if (dist >= spec.min_center_gap).all() and not any(
+                        _bev_overlap(cc, corners[j]) for j in near):
                     boxes.append(cand)
+                    corners.append(cc)
+                    xy = np.vstack([xy, cand.center[:2]])
+                    reach = np.append(reach, margin)
                     break
             else:
                 raise PlacementError(
@@ -264,10 +272,13 @@ def generate_scene(seed: int, spec: SceneSpec, frame_id: int = 0) -> SceneSample
     xyz32 = xyz.astype(np.float32)
 
     # membership is decided on the stored (float32) coordinates so the
-    # label/point-in-box invariant survives quantization
-    for box in boxes:
-        inside = points_in_box(xyz32.astype(np.float64), box)
-        lab[inside] = box.semantic_label
+    # label/point-in-box invariant survives quantization; a box holds only
+    # points within its margin
+    xyz64 = xyz32.astype(np.float64)
+    for box, r in zip(boxes, reach):
+        near = np.flatnonzero((np.abs(xyz64[:, 0] - box.center[0]) <= r)
+                              & (np.abs(xyz64[:, 1] - box.center[1]) <= r))
+        lab[near[points_in_box(xyz64[near], box)]] = box.semantic_label
 
     pts = np.zeros((len(xyz), 5), dtype=np.float32)
     pts[:, :3] = xyz32

@@ -11,6 +11,7 @@ score/box residuals back into the dense detection maps at its cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,9 +60,10 @@ def bev_cell_majority_labels(frame: vx.VoxelizedFrame, cells: np.ndarray,
 
 
 class Model:
-    """Holds parameters and geometry; forward() is pure given both."""
+    """Holds parameters and geometry; forward() is pure given both. Given
+    `values` (a checkpoint's arrays by name) it keeps them and draws nothing."""
 
-    def __init__(self, cfg: dict):
+    def __init__(self, cfg: dict, values: dict | None = None):
         self.cfg = cfg
         self.grid = vx.VoxelGridSpec(voxel_size=cfg["grid.voxel_size"],
                                      range_min=cfg["scene.extent_min"],
@@ -76,7 +78,9 @@ class Model:
         bottleneck = self.bcfg.stage_widths[3]
         self.bev_channels = bottleneck * self.n_heights
 
-        rng = np.random.default_rng(cfg["model.seed"])
+        # with `values`, `normal` gives zeros: allocated, but no page is touched
+        rng = np.random.default_rng(cfg["model.seed"]) if values is None else \
+            SimpleNamespace(normal=lambda loc=0.0, scale=1.0, size=None: np.zeros(size))
         widths = cfg["model.vfe_widths"]
         widths = list(widths) if isinstance(widths, tuple) else [int(widths)]
         self.vfe = vx.init_vfe_params(11, widths, rng, out_dim=c)
@@ -121,6 +125,19 @@ class Model:
             cell_size=(float(self.grid.size_array[0]) * DOWNSAMPLE,
                        float(self.grid.size_array[1]) * DOWNSAMPLE),
             shape=self.hw_bev)
+        if values is None:
+            return
+        names = self.parameters()
+        if set(names) != set(values):
+            missing = sorted(set(names) - set(values))[:4]
+            extra = sorted(set(values) - set(names))[:4]
+            raise KeyError(f"checkpoint/model mismatch: missing={missing} extra={extra}")
+        for name, tensor in names.items():
+            arr = np.asarray(values[name], dtype=np.float64)
+            if arr.shape != tensor.data.shape:
+                raise ValueError(f"checkpoint/model mismatch: {name} has shape "
+                                 f"{arr.shape}, model expects {tensor.data.shape}")
+            tensor.data = arr
 
     # -- parameter registry ---------------------------------------------------
 
@@ -144,20 +161,6 @@ class Model:
         for name, obj in self.containers().items():
             out.update(pp.collect(obj, name))
         return out
-
-    def load_parameters(self, values: dict) -> None:
-        """Use the float64 arrays in `values` as the parameters, without a copy."""
-        names = self.parameters()
-        if set(names) != set(values):
-            missing = sorted(set(names) - set(values))[:4]
-            extra = sorted(set(values) - set(names))[:4]
-            raise KeyError(f"checkpoint/model mismatch: missing={missing} extra={extra}")
-        for name, tensor in names.items():
-            arr = np.asarray(values[name], dtype=np.float64)
-            if arr.shape != tensor.data.shape:
-                raise ValueError(f"checkpoint/model mismatch: {name} has shape "
-                                 f"{arr.shape}, model expects {tensor.data.shape}")
-            tensor.data = arr
 
     # -- forward pieces ---------------------------------------------------------
 

@@ -240,9 +240,7 @@ def load_model(path, cfg: dict | None = None):
         cfg = stored_cfg
     if config_hash(stored_cfg) != data.config_hash:
         raise ck.CheckpointError("checkpoint is internally inconsistent")
-    model = Model(cfg)
-    model.load_parameters(data.params)
-    return model, cfg, data
+    return Model(cfg, data.params), cfg, data
 
 
 def evaluate(model: Model, samples: list[SceneSample], cfg: dict) -> dict:

@@ -323,6 +323,36 @@ def test_checkpoint_with_wrong_parameter_shape_rejected(tmp_path):
         tr.load_model(tmp_path / "m.ckpt")
 
 
+def test_load_model_draws_no_initial_values(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    model = Model(cfg)
+    tr.save_model(tmp_path / "m.ckpt", model, None, cfg, step=0)
+
+    class NoNormal(np.random.Generator):
+        def normal(self, *args, **kwargs):
+            raise AssertionError("a loaded model drew initial values")
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: NoNormal(np.random.PCG64(seed)))
+    loaded, _cfg, _ck = tr.load_model(tmp_path / "m.ckpt")
+    for name, tensor in model.parameters().items():
+        np.testing.assert_array_equal(loaded.parameters()[name].data, tensor.data)
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda params: params.pop("hm_head.bias"), r"missing=\['hm_head\.bias'\] extra=\[\]"),
+    (lambda params: params.update(extra=np.zeros(2)), r"missing=\[\] extra=\['extra'\]"),
+], ids=["missing", "extra"])
+def test_checkpoint_with_missing_or_extra_parameter_names_it(tmp_path, edit, named):
+    cfg = tiny_cfg()
+    tr.save_model(tmp_path / "m.ckpt", Model(cfg), None, cfg, step=0)
+    saved = ck.load_checkpoint(tmp_path / "m.ckpt")
+    edit(saved.params)
+    ck.save_checkpoint(tmp_path / "m.ckpt", saved)
+    with pytest.raises(KeyError, match=named):
+        tr.load_model(tmp_path / "m.ckpt")
+
+
 def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
     cfg = tiny_cfg()
     path = tmp_path / "m.ckpt"
@@ -489,6 +519,19 @@ def test_cli_end_to_end(tmp_path, capsys):
     body = offs.read_text().splitlines()
     assert body[0].startswith("#")
     assert len(body) > 1
+
+
+@pytest.mark.parametrize("command", ["infer", "inspect-offsets"])
+@pytest.mark.parametrize("index", [-1, 2])
+def test_cli_rejects_sample_index_outside_dataset(tmp_path, capsys, command, index):
+    samples, cfg = tiny_scenes(2)
+    tr.save_model(tmp_path / "m.ckpt", Model(cfg), None, cfg, step=0)
+    data.write_dataset(samples, tmp_path / "d.bin")
+    out = tmp_path / "out"
+    assert cli.main([command, "--ckpt", str(tmp_path / "m.ckpt"), "--input",
+                     str(tmp_path / "d.bin"), "--index", str(index), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: IndexError: sample index {index} outside 0..1\n"
+    assert not out.exists()
 
 
 def test_cli_error_exit_code_and_message(tmp_path, capsys):
