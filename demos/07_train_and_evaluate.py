@@ -52,7 +52,7 @@ b = loaded.forward(scenes[0])
 assert np.array_equal(a.seg_logits.data, b.seg_logits.data)
 print("\ncheckpoint round trip reproduces the forward bit-exactly: ok")
 
-rows = tr.inspect_offsets(model, scenes[0], quantile=0.9)
+rows = tr.inspect_offsets(model, scenes[0], cfg, quantile=0.9)
 radii = np.hypot(rows[:, 6], rows[:, 7])
 print(f"learned offsets (top decile by weight): {len(rows)} rows, "
       f"radius min {radii.min():.2f} / max {radii.max():.2f} cells")

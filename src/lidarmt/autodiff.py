@@ -228,11 +228,6 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g / (2.0 * out),))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _make(a.data * mask, (a,), lambda g: (g * mask,))
@@ -242,11 +237,6 @@ def sigmoid(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):   # exp(-a) = inf below about -709: out is 0.0
         out = 1.0 / (1.0 + np.exp(-a.data))
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def absolute(a: Tensor) -> Tensor:

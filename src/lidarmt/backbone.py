@@ -16,16 +16,12 @@ from .sparse import (DenseBEVMap, SparseVoxelTensor, CoordinateError,
 @dataclass
 class BackboneConfig:
     base_channels: int = 32
-    stage_multipliers: tuple = (1, 2, 4, 4)
-    convs_per_stage: int = 2
-
-    def __post_init__(self):
-        if len(self.stage_multipliers) != 4:
-            raise ValueError("four stages are required for the 1/8 bottleneck")
 
     @property
     def stage_widths(self) -> tuple:
-        return tuple(self.base_channels * m for m in self.stage_multipliers)
+        """Four stages down to the 1/8 bottleneck."""
+        c = self.base_channels
+        return (c, 2 * c, 4 * c, 4 * c)
 
 
 @dataclass
@@ -91,15 +87,10 @@ def init_encoder(cfg: BackboneConfig, in_channels: int,
     widths = cfg.stage_widths
     prev = in_channels
     for s, w in enumerate(widths):
-        stage = []
-        cin = prev
-        for _ in range(cfg.convs_per_stage):
-            stage.append(conv3d_unit(rng, cin, w))
-            cin = w
-        p.stages.append(stage)
+        p.stages.append([conv3d_unit(rng, prev, w), conv3d_unit(rng, w, w)])
         if s < 3:
-            p.downs.append(conv3d_unit(rng, w, widths[s + 1]))
-        prev = widths[s + 1] if s < 3 else w
+            prev = widths[s + 1]
+            p.downs.append(conv3d_unit(rng, w, prev))
     return p
 
 

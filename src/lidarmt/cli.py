@@ -91,7 +91,8 @@ def cmd_inspect_offsets(args) -> int:
     model, cfg, _data = tr.load_model(args.ckpt, cfg)
     if not cfg["model.cross_space.enabled"]:
         raise cf.ConfigError("cross-space attention disabled; no offsets to inspect")
-    rows = tr.inspect_offsets(model, _sample_at(args.input, args.index), args.quantile)
+    rows = tr.inspect_offsets(model, _sample_at(args.input, args.index), cfg,
+                              args.quantile)
     with cx.atomic_write(args.out, "w") as f:
         f.write(tr.format_offsets(rows))
     print(f"wrote {len(rows)} offset rows to {args.out}")

@@ -2,8 +2,7 @@
 center queries (detection) coupled by a shared self-attention layer.
 
 Per layer, pre-norm residual throughout:
-  1. shared self-attention over the concatenated [class; center] tokens
-     (optionally masked to block class<->center coupling);
+  1. shared self-attention over the concatenated [class; center] tokens;
   2. class queries cross-attend to the voxel features, center queries to a
      local BEV window around their proposal cells;
   3. a shared feed-forward on both query sets;
@@ -23,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .backbone import LinearUnit, linear_unit
 from .cross_space import FfnUnit, apply_ffn, init_ffn
+from .tasks import rank_peaks
 
 
 @dataclass
@@ -194,31 +194,12 @@ class CenterQuerySet:
     class_ids: np.ndarray     # (N,) thing class per proposal, 1-based
 
 
-def peak_mask(heatmap: np.ndarray) -> np.ndarray:
-    """Cells equal to their 3x3 neighbourhood maximum."""
-    k, h, w = heatmap.shape
-    padded = np.full((k, h + 2, w + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = heatmap
-    pool = np.full_like(heatmap, -np.inf)
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            pool = np.maximum(pool, padded[:, dy:dy + h, dx:dx + w])
-    return heatmap >= pool
-
-
 def propose_centers(heatmap: np.ndarray, bev_feats: ad.Tensor, n_ctr: int,
                     proj: LinearUnit, pos_emb: ad.Tensor) -> CenterQuerySet:
     """Top-N local maxima of the class heatmaps, padded from the global top
     scores when there are fewer peaks. Ties break by linearized index."""
-    k, h, w = heatmap.shape
-    flat = heatmap.ravel()
-    peak = peak_mask(heatmap).ravel()
-    order_all = np.lexsort((np.arange(flat.size), -flat))
-    picked = [i for i in order_all if peak[i]][:n_ctr]
-    if len(picked) < n_ctr:
-        chosen = set(picked)
-        picked += [i for i in order_all if i not in chosen][:n_ctr - len(picked)]
-    picked = np.array(picked[:n_ctr], dtype=np.int64)
+    h, w = heatmap.shape[1:]
+    picked = rank_peaks(heatmap)[0][:n_ctr]
     cls = picked // (h * w)
     yy = (picked // w) % h
     xx = picked % w
@@ -227,7 +208,7 @@ def propose_centers(heatmap: np.ndarray, bev_feats: ad.Tensor, n_ctr: int,
     q = q @ proj.weight + proj.bias
     q = q + ad.gather_rows(pos_emb, cell)
     return CenterQuerySet(queries=q, positions=np.column_stack([xx, yy]),
-                          scores=flat[picked], class_ids=(cls + 1).astype(np.int64))
+                          scores=heatmap.ravel()[picked], class_ids=(cls + 1).astype(np.int64))
 
 
 @dataclass
@@ -252,12 +233,11 @@ class CrossTaskParams:
 
 def init_cross_task(width: int, voxel_dim: int, bev_dim: int, grid_hw: tuple,
                     rng: np.random.Generator, n_layers: int = 3, n_heads: int = 4,
-                    head_dim: int = 32, ffn_hidden: int = 64, window: int = 7,
-                    zero_residual: bool = True) -> CrossTaskParams:
-    """zero_residual starts every residual branch at zero, so the decoder is
-    the identity at init and the class embedding begins as the raw
-    prediction-weighted feature prototypes; branches wake up through their
-    output projections."""
+                    head_dim: int = 32, ffn_hidden: int = 64,
+                    window: int = 7) -> CrossTaskParams:
+    """Every residual branch starts at zero, so the decoder is the identity at
+    init and the class embedding begins as the raw prediction-weighted feature
+    prototypes; branches wake up through their output projections."""
     p = CrossTaskParams(width=width, window=window)
     for _ in range(n_layers):
         layer = CrossTaskLayerParams(
@@ -267,11 +247,10 @@ def init_cross_task(width: int, voxel_dim: int, bev_dim: int, grid_hw: tuple,
             inverse=init_mha(voxel_dim, width, voxel_dim, n_heads, head_dim, rng),
             ffn=init_ffn(width, ffn_hidden, rng),
         )
-        if zero_residual:
-            for mha in (layer.self_attn, layer.class_cross, layer.center_cross,
-                        layer.inverse):
-                mha.wo.data[:] = 0.0
-            layer.ffn.w2.data[:] = 0.0
+        for mha in (layer.self_attn, layer.class_cross, layer.center_cross,
+                    layer.inverse):
+            mha.wo.data[:] = 0.0
+        layer.ffn.w2.data[:] = 0.0
         p.layers.append(layer)
     h, w = grid_hw
     p.proj_class = linear_unit(rng, bev_dim, width)
@@ -281,68 +260,46 @@ def init_cross_task(width: int, voxel_dim: int, bev_dim: int, grid_hw: tuple,
     return p
 
 
-def cross_task_layer(eps: ad.Tensor, centers: ad.Tensor | None,
-                     voxels: ad.Tensor | None, bev_rows: ad.Tensor,
-                     positions: np.ndarray, hw: tuple,
-                     p: CrossTaskLayerParams, window: int,
-                     block_cross_task: bool = False):
+def cross_task_layer(eps: ad.Tensor, centers: ad.Tensor, voxels: ad.Tensor,
+                     bev_rows: ad.Tensor, positions: np.ndarray, hw: tuple,
+                     p: CrossTaskLayerParams, window: int):
     """One decoder layer; returns (eps', centers', voxels')."""
     k = eps.data.shape[0]
-    if centers is not None:
-        tokens = ad.concat([eps, centers], axis=0)
-    else:
-        tokens = eps
+    tokens = ad.concat([eps, centers], axis=0)
     t = tokens.data.shape[0]
-    mask = None
-    if block_cross_task and centers is not None:
-        mask = np.zeros((t, t), dtype=bool)
-        mask[:k, k:] = True
-        mask[k:, :k] = True
     normed = ad.layer_norm(tokens)
-    tokens = tokens + attend(normed, normed, p.self_attn, mask)
+    tokens = tokens + attend(normed, normed, p.self_attn)
 
     eps = tokens[np.arange(k)]
-    if voxels is not None and voxels.data.shape[0] > 0:
-        eps = eps + attend(ad.layer_norm(eps), voxels, p.class_cross)
+    eps = eps + attend(ad.layer_norm(eps), voxels, p.class_cross)
 
-    new_centers = None
-    if centers is not None:
-        cen = tokens[np.arange(k, t)]
-        # one attention over the whole BEV; keys outside the query's
-        # window x window neighbourhood (Chebyshev distance) are masked
-        h, w = hw
-        cells = np.arange(h * w)
-        far = np.maximum(np.abs(positions[:, :1] - cells % w),
-                         np.abs(positions[:, 1:] - cells // w)) > window // 2
-        cen = cen + attend(ad.layer_norm(cen), bev_rows, p.center_cross, far)
-        both = ad.concat([eps, cen], axis=0)
-        both = both + apply_ffn(ad.layer_norm(both), p.ffn)
-        eps = both[np.arange(k)]
-        new_centers = both[np.arange(k, t)]
-    else:
-        eps = eps + apply_ffn(ad.layer_norm(eps), p.ffn)
-
-    new_voxels = voxels
-    if voxels is not None and voxels.data.shape[0] > 0:
-        new_voxels = voxels + attend(ad.layer_norm(voxels), eps, p.inverse)
-    return eps, new_centers, new_voxels
+    cen = tokens[np.arange(k, t)]
+    # one attention over the whole BEV; keys outside the query's
+    # window x window neighbourhood (Chebyshev distance) are masked
+    h, w = hw
+    cells = np.arange(h * w)
+    far = np.maximum(np.abs(positions[:, :1] - cells % w),
+                     np.abs(positions[:, 1:] - cells // w)) > window // 2
+    cen = cen + attend(ad.layer_norm(cen), bev_rows, p.center_cross, far)
+    both = ad.concat([eps, cen], axis=0)
+    both = both + apply_ffn(ad.layer_norm(both), p.ffn)
+    eps, cen = both[np.arange(k)], both[np.arange(k, t)]
+    voxels = voxels + attend(ad.layer_norm(voxels), eps, p.inverse)
+    return eps, cen, voxels
 
 
-def decode_queries(eps: ad.Tensor, centers: CenterQuerySet | None,
-                   voxels: ad.Tensor | None, bev_rows: ad.Tensor, hw: tuple,
-                   p: CrossTaskParams, block_cross_task: bool = False):
+def decode_queries(eps: ad.Tensor, centers: CenterQuerySet, voxels: ad.Tensor,
+                   bev_rows: ad.Tensor, hw: tuple, p: CrossTaskParams):
     """Run the stacked decoder layers.
 
-    Returns (refined class embedding, refined center queries or None,
-    refined voxel features or None).
+    Returns (refined class embedding, refined center queries, refined voxel
+    features).
     """
-    cen = centers.queries if centers is not None else None
-    pos = centers.positions if centers is not None else None
-    vox = voxels
+    cen = centers.queries
     for layer in p.layers:
-        eps, cen, vox = cross_task_layer(eps, cen, vox, bev_rows, pos, hw,
-                                         layer, p.window, block_cross_task)
-    return eps, cen, vox
+        eps, cen, voxels = cross_task_layer(eps, cen, voxels, bev_rows, centers.positions,
+                                            hw, layer, p.window)
+    return eps, cen, voxels
 
 
 def dynamic_kernel_logits(v_r: ad.Tensor, eps: ad.Tensor,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,11 @@ _SIZE_RANGES = {
 
 _DATASET_MAGIC = b"LMTDATA\x00"
 _DATASET_VERSION = 2
+
+
+def labels_in_range(labels: np.ndarray, k: int = NUM_CLASSES) -> bool:
+    """Every label is a class id in 1..k."""
+    return labels.size == 0 or bool(labels.min() >= 1 and labels.max() <= k)
 
 
 class PlacementError(Exception):
@@ -94,17 +99,12 @@ class SceneSample:
             raise ValueError("non-finite point data")
         if (self.points[:, 4] > 0).any():
             raise ValueError("timestamps must be <= 0")
-        if len(self.labels) and not ((self.labels >= 1) & (self.labels <= NUM_CLASSES)).all():
+        if not labels_in_range(self.labels):
             raise ValueError("labels outside [1, K]")
 
     @property
     def xyz(self) -> np.ndarray:
         return self.points[:, :3]
-
-
-# The two names are used interchangeably: a concatenated multi-frame cloud
-# has the same field layout as a single frame.
-PointCloud = SceneSample
 
 
 @dataclass
@@ -289,7 +289,7 @@ def generate_scene(seed: int, spec: SceneSpec, frame_id: int = 0) -> SceneSample
 
 
 def concat_frames(current: SceneSample, history: list[SceneSample],
-                  poses: list[np.ndarray], dt: float = 0.1) -> PointCloud:
+                  poses: list[np.ndarray], dt: float = 0.1) -> SceneSample:
     """Concatenate history scans into the current frame.
 
     `poses[k]` is the 4x4 rigid transform taking points of history[k] into
@@ -339,14 +339,11 @@ def _wrap_angle(a: float) -> float:
     return float((a + math.pi) % (2 * math.pi) - math.pi)
 
 
-def augment(sample: SceneSample, params: AugmentParams | None = None,
-            seed: int | None = None) -> SceneSample:
+def augment(sample: SceneSample, params: AugmentParams) -> SceneSample:
     """Apply flips, global rotation, then scale, about the coordinate origin.
 
     Points and boxes move together; labels are untouched.
     """
-    if params is None:
-        params = draw_augment_params(0 if seed is None else seed)
     if not 0.9 <= params.scale <= 1.1:
         raise ValueError(f"scale {params.scale} outside [0.9, 1.1]")
 
@@ -432,6 +429,8 @@ def _read_sample(r: cx.RecordReader) -> SceneSample:
     pts, labels = r.read_array((n_pts, 5), "<f4"), r.read_array((n_pts,), "<i4")
     raw = r.read_array((n_boxes,), _BOX)
     r.end_record()
+    if not labels_in_range(labels):
+        raise cx.ContainerError(f"frame {frame_id}: label outside 1..{NUM_CLASSES}")
     try:
         boxes = [Box(center=f[:3], size=f[3:6], yaw=float(f[6]), class_id=c)
                  for f, c in zip(raw["f"], raw["class_id"].tolist())]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import container as cx
-from .data import NUM_CLASSES, NUM_THING
+from .data import NUM_CLASSES, NUM_THING, labels_in_range
 
 AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)  # meters
 
@@ -18,6 +18,8 @@ def confusion_matrix(gt: np.ndarray, pred: np.ndarray,
     pred = np.asarray(pred).reshape(-1)
     if gt.shape != pred.shape:
         raise ValueError("gt and pred length mismatch")
+    if not (labels_in_range(gt, k) and labels_in_range(pred, k)):
+        raise ValueError(f"label outside 1..{k}")
     cm = np.zeros((k, k), dtype=np.int64)
     np.add.at(cm, (gt - 1, pred - 1), 1)
     return cm

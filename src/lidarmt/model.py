@@ -10,7 +10,7 @@ score/box residuals back into the dense detection maps at its cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,7 +44,6 @@ class ForwardOut:
     bev_cells: np.ndarray            # (M_bev, 2) occupied (u, v) cells
     geometry: BevGeometry
     proposals: xtk.CenterQuerySet | None
-    class_embedding: ad.Tensor | None
 
 
 def bev_cell_majority_labels(frame: vx.VoxelizedFrame, cells: np.ndarray,
@@ -183,9 +182,8 @@ class Model:
         return sparse.gather_from_dense(dense, coords,
                                         (bev.hw[1], bev.hw[0], self.n_heights))
 
-    def forward(self, sample: SceneSample, collector=None, frame=None) -> ForwardOut:
-        """`frame`, when given, is `self.voxelize(sample)` computed earlier."""
-        frame = self.voxelize(sample) if frame is None else frame
+    def forward(self, sample: SceneSample, collector=None) -> ForwardOut:
+        frame = self.voxelize(sample)
         if not frame.num_voxels:
             raise EmptyFrameError("no point of the frame falls inside the voxel grid")
         kept_feats = sample.points[frame.kept].astype(np.float64)
@@ -217,7 +215,6 @@ class Model:
         aux_logits = bb.aux_seg_head(aux_feats, self.aux_head)
 
         proposals = None
-        embedding = None
         if self.cross_task is not None:
             aux_pred = ad.softmax(aux_logits, axis=-1)
             eps0 = xtk.init_class_embedding(aux_pred, aux_feats)
@@ -231,7 +228,6 @@ class Model:
             eps, centers, refined = xtk.decode_queries(
                 eps0, proposals, decoded.features, bev_rows, self.hw_bev,
                 self.cross_task)
-            embedding = eps
             v_r = ad.concat([decoded.features, refined], axis=1)
             seg_logits = xtk.dynamic_kernel_logits(v_r, eps, self.cross_task.kernel_proj)
 
@@ -253,4 +249,4 @@ class Model:
                           heatmap=ad.sigmoid(hm_logits), reg_map=reg_map,
                           aux_logits=aux_logits, aux_labels=aux_labels,
                           bev_cells=cells, geometry=self.geometry,
-                          proposals=proposals, class_embedding=embedding)
+                          proposals=proposals)

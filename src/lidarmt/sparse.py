@@ -95,11 +95,6 @@ class SparseVoxelTensor:
             rows = np.zeros(len(coords), dtype=np.int64)
         return rows, found
 
-    @property
-    def coord_index(self) -> dict:
-        """Coordinate-triple -> row mapping (materialized for inspection)."""
-        return {tuple(c): r for r, c in enumerate(map(tuple, self.coords))}
-
     def with_features(self, features) -> "SparseVoxelTensor":
         out = SparseVoxelTensor.__new__(SparseVoxelTensor)
         out.coords = self.coords

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import NUM_THING, Box, THING_SEMANTIC_OFFSET
+from .data import NUM_THING, Box
 
 REG_CHANNELS = 8  # dx, dy, z, log l, log w, log h, sin yaw, cos yaw
 
@@ -174,17 +174,35 @@ def uncertainty_combine(losses: dict, weights: LossWeights) -> ad.Tensor:
     return total
 
 
+def peak_mask(heatmap: np.ndarray) -> np.ndarray:
+    """Cells equal to their 3x3 neighbourhood maximum."""
+    k, h, w = heatmap.shape
+    padded = np.full((k, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = heatmap
+    pool = np.full_like(heatmap, -np.inf)
+    for dy in (0, 1, 2):
+        for dx in (0, 1, 2):
+            pool = np.maximum(pool, padded[:, dy:dy + h, dx:dx + w])
+    return heatmap >= pool
+
+
+def rank_peaks(heatmap: np.ndarray) -> tuple[np.ndarray, int]:
+    """Every linearized cell of a (K, H, W) heatmap, peaks first, each group by
+    descending score with ties by index; and the number of peaks."""
+    flat = heatmap.ravel()
+    order = np.lexsort((np.arange(flat.size), -flat))
+    peak = peak_mask(heatmap).ravel()[order]
+    return order[np.argsort(~peak, kind="stable")], int(peak.sum())
+
+
 def decode_boxes(heatmap: np.ndarray, reg: np.ndarray, geom: BevGeometry,
                  threshold: float = 0.1, max_boxes: int = 32):
-    """Peak cells above threshold become boxes with scores.
-
-    Peaks are 3x3 local maxima; ties order by linearized index.
-    """
-    from .cross_task import peak_mask
+    """Peak cells above threshold become boxes with scores, in rank_peaks order."""
     k, h, w = heatmap.shape
     flat = heatmap.ravel()
-    candidates = np.flatnonzero(peak_mask(heatmap).ravel() & (flat >= threshold))
-    order = candidates[np.lexsort((candidates, -flat[candidates]))][:max_boxes]
+    ranked, n_peaks = rank_peaks(heatmap)
+    peaks = ranked[:n_peaks]
+    order = peaks[flat[peaks] >= threshold][:max_boxes]
     out = []
     for idx in order:
         cls = int(idx // (h * w))

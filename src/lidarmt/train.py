@@ -17,7 +17,7 @@ from .config import canonical_text, config_hash
 from .cross_space import OffsetCollector
 from .data import (THING_SEMANTIC_OFFSET, SceneSample, augment, concat_frames,
                    draw_augment_params, read_dataset)
-from .model import Model
+from .model import EmptyFrameError, Model
 
 
 class TrainingDiverged(Exception):
@@ -307,11 +307,11 @@ def infer(model: Model, sample: SceneSample, cfg: dict) -> dict:
     Multi-frame configs get their history view; predictions are reported
     for the current frame's points only."""
     view = training_view(sample, cfg, 0, cfg["train.seed"], allow_augment=False)
-    frame = model.voxelize(view)
-    if not frame.num_voxels:
+    try:
+        with ad.no_grad():
+            out = model.forward(view)
+    except EmptyFrameError:
         return {"point_labels": [0] * len(sample.points), "boxes": []}
-    with ad.no_grad():
-        out = model.forward(view, frame=frame)
     pred_vox = np.argmax(out.seg_logits.data, axis=1).astype(np.int32) + 1
     point_pred = np.zeros(len(view.points), dtype=np.int32)
     point_pred[out.frame.kept] = vx.devoxelize(pred_vox, out.frame.point_to_voxel)
@@ -330,12 +330,15 @@ def infer(model: Model, sample: SceneSample, cfg: dict) -> dict:
     }
 
 
-def inspect_offsets(model: Model, sample: SceneSample, quantile: float = 0.0) -> np.ndarray:
+def inspect_offsets(model: Model, sample: SceneSample, cfg: dict,
+                    quantile: float = 0.0) -> np.ndarray:
     """Offset rows (u, v, h, head, height, point, du, dv, weight) from every
-    attention block, filtered to weights at or above the given quantile."""
+    attention block over the view `infer` sees, filtered to weights at or
+    above the given quantile."""
+    view = training_view(sample, cfg, 0, cfg["train.seed"], allow_augment=False)
     collector = OffsetCollector()
     with ad.no_grad():
-        model.forward(sample, collector=collector)
+        model.forward(view, collector=collector)
     rows = collector.stacked()
     if len(rows) == 0:
         return rows

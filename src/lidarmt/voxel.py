@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import NUM_CLASSES
+from .data import NUM_CLASSES, labels_in_range
 
 
 class DevoxelizeError(Exception):
@@ -87,10 +87,12 @@ def group_and_vote(xyz: np.ndarray, labels: np.ndarray,
     """Group in-range points by voxel and majority-vote a label per voxel.
 
     Ties break toward the lowest class id. Out-of-range points are dropped
-    and counted, not raised.
+    and counted, not raised; a label outside 1..NUM_CLASSES is a ValueError.
     """
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     labels = np.asarray(labels).reshape(-1)
+    if not labels_in_range(labels):
+        raise ValueError(f"point label outside 1..{NUM_CLASSES}")
     kept = in_range_mask(xyz, spec)
     idx = compute_voxel_index(xyz[kept], spec)
     w, h, d = spec.dims

@@ -82,3 +82,14 @@ def check_grads_sampled(f, tensors, n_per_tensor=4, rtol=1e-3, eps=1e-6,
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def live_cross_task(p, r):
+    """Redraw every output projection `init_cross_task` zeroes (each attention's
+    `wo` and each feed-forward's `w2`), so all residual branches of the decoder
+    are live. Returns p."""
+    for layer in p.layers:
+        for t in (layer.self_attn.wo, layer.class_cross.wo, layer.center_cross.wo,
+                  layer.inverse.wo, layer.ffn.w2):
+            t.data[:] = r.normal(0, np.sqrt(1.0 / t.data.shape[0]), t.data.shape)
+    return p

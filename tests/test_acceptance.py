@@ -25,7 +25,7 @@ from lidarmt import train as tr
 from lidarmt import voxel as vx
 from lidarmt.model import Model
 
-from conftest import check_grads, check_grads_sampled, rng
+from conftest import check_grads, check_grads_sampled, live_cross_task, rng
 
 
 def _report(num, name, ok, detail=""):
@@ -272,9 +272,9 @@ def test_criterion_3_gradient_suite():
                 [q, maps] + [x for _, x in pp.named_tensors(dp)], rtol=1e-4)
 
     # cross-task layer + dynamic kernel
-    ctp = xt.init_cross_task(4, voxel_dim=6, bev_dim=4, grid_hw=(4, 4), rng=r,
-                             n_layers=1, n_heads=2, head_dim=2, ffn_hidden=6,
-                             window=3, zero_residual=False)
+    ctp = live_cross_task(xt.init_cross_task(4, voxel_dim=6, bev_dim=4, grid_hw=(4, 4),
+                                             rng=r, n_layers=1, n_heads=2, head_dim=2,
+                                             ffn_hidden=6, window=3), r)
     eps = ad.parameter(r.normal(size=(3, 4)))
     vox = ad.parameter(r.normal(size=(5, 6)))
     bev_rows = ad.parameter(r.normal(size=(16, 4)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from lidarmt import cross_task as xt
 from lidarmt import params as pp
 from lidarmt.backbone import LinearUnit
 
-from conftest import check_grads, check_grads_sampled, rng
+from conftest import check_grads, check_grads_sampled, live_cross_task, rng
 
 
 def test_class_embedding_one_hot_is_classwise_mean():
@@ -131,13 +133,19 @@ def test_proposals_pad_from_global_scores():
 
 def _decoder_fixture(r, k=3, m=5, c=4, width=4, heads=1, bev_hw=(4, 4)):
     h, w = bev_hw
-    p = xt.init_cross_task(width, voxel_dim=c, bev_dim=c, grid_hw=bev_hw, rng=r,
-                           n_layers=1, n_heads=heads, head_dim=width // heads,
-                           ffn_hidden=8, window=3, zero_residual=False)
+    p = live_cross_task(xt.init_cross_task(
+        width, voxel_dim=c, bev_dim=c, grid_hw=bev_hw, rng=r, n_layers=1, n_heads=heads,
+        head_dim=width // heads, ffn_hidden=8, window=3), r)
     eps = ad.Tensor(r.normal(size=(k, width)))
     voxels = ad.Tensor(r.normal(size=(m, c)))
     bev_rows = ad.Tensor(r.normal(size=(h * w, c)))
     return p, eps, voxels, bev_rows
+
+
+def _center_queries(r, width, positions):
+    return xt.CenterQuerySet(queries=ad.Tensor(r.normal(size=(len(positions), width))),
+                             positions=np.asarray(positions), scores=np.ones(len(positions)),
+                             class_ids=np.ones(len(positions), dtype=int))
 
 
 def test_bidirectional_cross_attention_matches_hand_rolled_formulas():
@@ -193,46 +201,50 @@ def test_single_key_softmax_collapses_to_value_row():
         np.testing.assert_allclose(row, want4[0], atol=1e-12)
 
 
-def test_masked_decoder_equals_segmentation_only_decoder():
+def test_center_queries_reach_classes_and_voxels_only_through_self_attention():
+    """The shared self-attention is the one cross-task link: with its output
+    projection zeroed, perturbing the center queries moves neither the class
+    embedding nor the voxel features; with it drawn, both move."""
     r = rng(10)
     h = w = 4
-    p = xt.init_cross_task(6, voxel_dim=5, bev_dim=6, grid_hw=(h, w), rng=r,
-                           n_layers=2, n_heads=2, head_dim=3, ffn_hidden=8, window=3,
-                           zero_residual=False)
+    p = live_cross_task(xt.init_cross_task(6, voxel_dim=5, bev_dim=6, grid_hw=(h, w), rng=r,
+                                           n_layers=2, n_heads=2, head_dim=3, ffn_hidden=8,
+                                           window=3), r)
     eps = ad.Tensor(r.normal(size=(4, 6)))
     voxels = ad.Tensor(r.normal(size=(7, 5)))
     bev_rows = ad.Tensor(r.normal(size=(h * w, 6)))
-    centers = xt.CenterQuerySet(queries=ad.Tensor(r.normal(size=(3, 6))),
-                                positions=np.array([[0, 0], [1, 2], [3, 3]]),
-                                scores=np.ones(3), class_ids=np.ones(3, dtype=int))
-    e_masked, c_masked, v_masked = xt.decode_queries(
-        eps, centers, voxels, bev_rows, (h, w), p, block_cross_task=True)
-    e_only, _, v_only = xt.decode_queries(eps, None, voxels, bev_rows, (h, w), p)
-    np.testing.assert_allclose(e_masked.data, e_only.data, atol=1e-10)
-    np.testing.assert_allclose(v_masked.data, v_only.data, atol=1e-10)
+    centers = _center_queries(r, 6, [[0, 0], [1, 2], [3, 3]])
+    moved = dataclasses.replace(centers, queries=ad.Tensor(centers.queries.data
+                                                           + r.normal(size=(3, 6))))
+
+    def decode(cen):
+        e, _, v = xt.decode_queries(eps, cen, voxels, bev_rows, (h, w), p)
+        return e.data, v.data
+
+    (e1, v1), (e2, v2) = decode(centers), decode(moved)
+    assert not np.allclose(e1, e2) and not np.allclose(v1, v2)
+    for layer in p.layers:
+        layer.self_attn.wo.data[:] = 0.0
+        layer.self_attn.bo.data[:] = 0.0
+    (e1, v1), (e2, v2) = decode(centers), decode(moved)
+    np.testing.assert_allclose(e2, e1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v2, v1, rtol=0, atol=1e-12)
 
 
 def test_voxel_permutation_equivariance():
     r = rng(11)
     p, eps, voxels, bev_rows = _decoder_fixture(r, k=3, m=6, c=4, width=4)
-    e1, _, v1 = xt.decode_queries(eps, None, voxels, bev_rows, (4, 4), p)
+    centers = _center_queries(r, 4, [[0, 1], [2, 3]])
+    e1, c1, v1 = xt.decode_queries(eps, centers, voxels, bev_rows, (4, 4), p)
     s1 = xt.dynamic_kernel_logits(ad.concat([voxels, v1], axis=1), e1, p.kernel_proj)
     perm = r.permutation(6)
     voxels_p = ad.Tensor(voxels.data[perm])
-    e2, _, v2 = xt.decode_queries(eps, None, voxels_p, bev_rows, (4, 4), p)
+    e2, c2, v2 = xt.decode_queries(eps, centers, voxels_p, bev_rows, (4, 4), p)
     s2 = xt.dynamic_kernel_logits(ad.concat([voxels_p, v2], axis=1), e2, p.kernel_proj)
     np.testing.assert_allclose(e2.data, e1.data, atol=1e-10)
+    np.testing.assert_allclose(c2.data, c1.data, atol=1e-10)
     np.testing.assert_allclose(v2.data, v1.data[perm], atol=1e-10)
     np.testing.assert_allclose(s2.data, s1.data[perm], atol=1e-10)
-
-
-def test_empty_voxel_set_skips_cross_attention():
-    r = rng(12)
-    p, eps, _, bev_rows = _decoder_fixture(r, k=3, m=5, c=4, width=4)
-    empty = ad.Tensor(np.empty((0, 4)))
-    e, _, v = xt.decode_queries(eps, None, empty, bev_rows, (4, 4), p)
-    assert e.data.shape == (3, 4)
-    assert v.data.shape == (0, 4)
 
 
 def test_layer_normalises_each_input_once(monkeypatch):
@@ -283,9 +295,9 @@ def test_dynamic_kernel_matches_matrix_oracle():
 def test_full_layer_gradient_check():
     r = rng(15)
     h = w = 4
-    p = xt.init_cross_task(4, voxel_dim=8, bev_dim=4, grid_hw=(h, w), rng=r,
-                           n_layers=1, n_heads=2, head_dim=2, ffn_hidden=6, window=3,
-                           zero_residual=False)
+    p = live_cross_task(xt.init_cross_task(4, voxel_dim=8, bev_dim=4, grid_hw=(h, w), rng=r,
+                                           n_layers=1, n_heads=2, head_dim=2, ffn_hidden=6,
+                                           window=3), r)
     eps = ad.parameter(r.normal(size=(3, 4)))
     voxels = ad.parameter(r.normal(size=(6, 8)))
     bev_rows = ad.parameter(r.normal(size=(h * w, 4)))
@@ -382,9 +394,9 @@ def test_center_window_attention_matches_per_query_loop(side, window):
     of its own clipped window, one query at a time."""
     r = rng(18)
     c = 6
-    p = xt.init_cross_task(c, voxel_dim=5, bev_dim=c, grid_hw=(side, side), rng=r,
-                           n_layers=1, n_heads=2, head_dim=3, ffn_hidden=8,
-                           window=window, zero_residual=False)
+    p = live_cross_task(xt.init_cross_task(c, voxel_dim=5, bev_dim=c, grid_hw=(side, side),
+                                           rng=r, n_layers=1, n_heads=2, head_dim=3,
+                                           ffn_hidden=8, window=window), r)
     layer = p.layers[0]
     for t in (layer.center_cross.bq, layer.center_cross.bv, layer.center_cross.bo):
         t.data[:] = r.normal(size=t.data.shape)
@@ -398,7 +410,8 @@ def test_center_window_attention_matches_per_query_loop(side, window):
     eps = ad.Tensor(r.normal(size=(3, c)))
     cen = ad.Tensor(r.normal(size=(len(positions), c)))
     bev_rows = ad.Tensor(r.normal(size=(side * side, c)))
-    _, got, _ = xt.cross_task_layer(eps, cen, None, bev_rows, positions, (side, side),
+    voxels = ad.Tensor(r.normal(size=(4, 5)))
+    _, got, _ = xt.cross_task_layer(eps, cen, voxels, bev_rows, positions, (side, side),
                                     layer, window)
     normed = ad.layer_norm(cen)
     want = np.concatenate([

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lidarmt import cli
 from lidarmt import config as cf
 from lidarmt import data
-from lidarmt.container import TruncatedError, VersionError
+from lidarmt.container import ContainerError, TruncatedError, VersionError
 
 
 def small_spec(**kw):
@@ -265,6 +265,18 @@ def test_dataset_empty_list_roundtrip(tmp_path):
     path = tmp_path / "empty.bin"
     data.write_dataset([], path)
     assert data.read_dataset(path) == []
+
+
+@pytest.mark.parametrize("bad", [0, -1, 7])
+def test_dataset_label_outside_classes_names_the_frame(tmp_path, bad):
+    good = data.generate_scene(0, small_spec(), frame_id=4)
+    labels = good.labels.copy()
+    labels[len(labels) // 2:] = bad
+    path = tmp_path / "labels.bin"
+    data.write_dataset([good, data.SceneSample(points=good.points, labels=labels,
+                                               boxes=good.boxes, frame_id=9)], path)
+    with pytest.raises(ContainerError, match="frame 9: label outside 1..6"):
+        data.read_dataset(path)
 
 
 def test_dataset_corrupted_magic_raises_version_error(tmp_path):

@@ -16,6 +16,7 @@ from lidarmt import data
 from lidarmt import metrics
 from lidarmt import sparse
 from lidarmt import train as tr
+from lidarmt.cross_space import OffsetCollector
 from lidarmt.model import EmptyFrameError, Model
 
 from conftest import rng
@@ -455,7 +456,7 @@ def test_inspect_offsets_counts_every_sampling_point():
     samples, cfg = tiny_scenes(1)
     model = Model(cfg)
     out = model.forward(samples[0])
-    rows = tr.inspect_offsets(model, samples[0], quantile=0.0)
+    rows = tr.inspect_offsets(model, samples[0], cfg, quantile=0.0)
     heads = cfg["model.cross_space.heads"]
     pts = cfg["model.cross_space.points"]
     j = model.n_heights
@@ -474,10 +475,32 @@ def test_inspect_offsets_quantile_filters():
     r = rng(0)
     for blk in model.cross_space.d2s_blocks + model.cross_space.s2d_blocks:
         blk.attn.logit_w.data[:] = r.normal(size=blk.attn.logit_w.data.shape)
-    all_rows = tr.inspect_offsets(model, samples[0], quantile=0.0)
-    top = tr.inspect_offsets(model, samples[0], quantile=0.9)
+    all_rows = tr.inspect_offsets(model, samples[0], cfg, quantile=0.0)
+    top = tr.inspect_offsets(model, samples[0], cfg, quantile=0.9)
     assert 0 < len(top) < len(all_rows)
     assert top[:, 8].min() >= np.quantile(all_rows[:, 8], 0.9) - 1e-12
+
+
+def test_inspect_offsets_runs_on_the_inference_view():
+    """With a history frame the offsets come from the view `infer` sees, not
+    from the raw sample."""
+    samples, _ = tiny_scenes(1)
+    cfg = tiny_cfg(**{"frames.history": 1})
+    model = Model(cfg)
+    r = rng(1)
+    for blk in model.cross_space.d2s_blocks + model.cross_space.s2d_blocks:
+        blk.attn.offset_w.data[:] = 0.1 * r.normal(size=blk.attn.offset_w.data.shape)
+
+    def offsets(sample):
+        collector = OffsetCollector()
+        model.forward(sample, collector=collector)
+        return collector.stacked()
+
+    view = tr.training_view(samples[0], cfg, 0, cfg["train.seed"], allow_augment=False)
+    got = tr.inspect_offsets(model, samples[0], cfg)
+    np.testing.assert_array_equal(got, offsets(view))
+    raw = offsets(samples[0])
+    assert got.shape == raw.shape and np.abs(got[:, 6:] - raw[:, 6:]).max() > 1e-3
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -546,10 +569,26 @@ def test_cli_error_exit_code_and_message(tmp_path, capsys):
 # -- source --------------------------------------------------------------------
 
 
+def _package_trees():
+    package = Path(lidarmt.__file__).parent
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
+
+
 def test_package_has_no_assert_statements():
     """`python -O` strips asserts, so checks in the package raise typed errors."""
-    package = Path(lidarmt.__file__).parent
-    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
+    found = [f"{name}:{node.lineno}" for name, tree in _package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_has_no_unused_module_level_imports():
+    found = []
+    for name, tree in _package_trees():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                found += [f"{name}:{node.lineno} {alias.asname or alias.name}"
+                          for alias in node.names
+                          if (alias.asname or alias.name).split(".")[0] not in used]
     assert found == []

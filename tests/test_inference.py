@@ -71,7 +71,7 @@ def test_infer_evaluate_and_inspect_offsets_run_tape_free(setup, monkeypatch):
     monkeypatch.setattr(Model, "forward", spy)
     tr.infer(model, scenes[0], cfg)
     tr.evaluate(model, scenes[:1], cfg)
-    tr.inspect_offsets(model, scenes[0])
+    tr.inspect_offsets(model, scenes[0], cfg)
     assert recorded == [False, False, False]
 
 

@@ -25,6 +25,13 @@ def test_half_half_all_predicted_class1():
     assert mean == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("gt,pred", [([1, 0], [1, 2]), ([1, -1], [1, 2]),
+                                     ([1, 2], [1, 7]), ([1, 2], [0, 2])])
+def test_confusion_matrix_rejects_labels_outside_classes(gt, pred):
+    with pytest.raises(ValueError, match=r"label outside 1\.\.6"):
+        metrics.confusion_matrix(np.array(gt), np.array(pred))
+
+
 def test_miou_matches_set_arithmetic_oracle():
     r = rng(0)
     gt = r.integers(1, 7, size=500)

@@ -235,12 +235,9 @@ def test_height_expand_rejects_indivisible():
         sparse.height_expand(ad.Tensor(np.zeros((5, 2, 2))), 2)
 
 
-def test_coord_index_exact_lookup():
+def test_rows_of_exact_lookup():
     r = rng(14)
     t = random_sparse(r, shape=(6, 6, 6), n=20, cin=1)
-    index = t.coord_index
-    for row in range(len(t)):
-        assert index[tuple(t.coords[row])] == row
     rows, found = t.rows_of(t.coords)
     assert found.all()
     np.testing.assert_array_equal(rows, np.arange(len(t)))

@@ -229,6 +229,27 @@ def test_encode_decode_box_roundtrip():
         assert abs(got.yaw - want.yaw) < 1e-5
 
 
+def test_decode_matches_bruteforce_peak_oracle():
+    """Boxes come from 3x3 peaks at or above the threshold, by descending score
+    with ties by linearized index, on heatmaps full of ties."""
+    r = rng(21)
+    geom = tasks.BevGeometry(origin=(0.0, 0.0), cell_size=(1.0, 1.0), shape=(5, 6))
+    for _ in range(200):
+        hm = r.integers(0, 4, size=(2, 5, 6)) / 4.0
+        threshold, max_boxes = r.choice([0.0, 0.25, 0.5]), int(r.integers(1, 12))
+        k, h, w = hm.shape
+        peaks = [(c * h * w + y * w + x, hm[c, y, x])
+                 for c in range(k) for y in range(h) for x in range(w)
+                 if hm[c, y, x] >= hm[c, max(0, y - 1):y + 2, max(0, x - 1):x + 2].max()
+                 and hm[c, y, x] >= threshold]
+        peaks.sort(key=lambda t: (-t[1], t[0]))
+        got = tasks.decode_boxes(hm, np.zeros((8, h, w)), geom, threshold, max_boxes)
+        want = peaks[:max_boxes]
+        assert [s for _, s in got] == [s for _, s in want]
+        assert [(b.class_id - 1, int(b.center[1]), int(b.center[0])) for b, _ in got] == \
+            [(i // (h * w), i // w % h, i % w) for i, _ in want]
+
+
 def test_decode_empty_heatmap():
     assert tasks.decode_boxes(np.zeros((2, 4, 4)), np.zeros((8, 4, 4)), GEOM,
                               threshold=0.1) == []

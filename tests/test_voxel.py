@@ -77,6 +77,13 @@ def test_out_of_range_points_are_dropped_and_counted():
     assert frame.kept.tolist() == [True] + [False] * 5
 
 
+@pytest.mark.parametrize("bad", [0, -1, 7])
+def test_label_outside_classes_is_a_value_error(bad):
+    pts = np.array([[1, 1, 1], [1.1, 1, 1], [9, 9, 9]], dtype=float)
+    with pytest.raises(ValueError, match=r"label outside 1\.\.6"):
+        voxel.group_and_vote(pts, [1, bad, 2], voxel.VoxelGridSpec())
+
+
 def test_every_voxel_nonempty_and_unique():
     r = rng(2)
     spec = voxel.VoxelGridSpec()
