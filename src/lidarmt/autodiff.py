@@ -343,13 +343,16 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Standardize over the last axis. Non-affine by design. One tape node: the
     closed-form vjp of Ba et al. (arXiv 1607.06450) keeps only `out` and `r`."""
-    c = x.data - x.data.mean(axis=-1, keepdims=True)
-    r = ((c * c).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    out = c * r
+    n = x.data.shape[-1]   # means are sum / n: np.mean's bytes without its wrapper
+    out = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    r = ((out * out).sum(axis=-1, keepdims=True) / n + eps) ** -0.5
+    out *= r
 
     def vjp(g):
-        return (r * (g - g.mean(axis=-1, keepdims=True)
-                     - out * (g * out).mean(axis=-1, keepdims=True)),)
+        d = g - g.sum(axis=-1, keepdims=True) / n
+        d -= out * ((g * out).sum(axis=-1, keepdims=True) / n)
+        d *= r
+        return (d,)
 
     return _make(out, (x,), vjp)
 
@@ -522,33 +525,46 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
     pairs may pass empty arrays. Within one tap, in_rows and out_rows must
     each hold no duplicates (conv rulebooks do so by construction): the
     accumulation is then a plain indexed add, exactly like np.add.at in either
-    operand order, with rows moved by np.take, faster than fancy indexing.
+    operand order, with rows moved by ndarray.take, faster than fancy indexing.
+    `pairs[t] = None` stands for in_rows = out_rows = arange(M), n_out == M: one
+    GEMM over all rows added in place, the same bytes without the row traffic.
     Bias, when given, is added to every output row (submanifold/strided conv
     semantics: every active output site gets the bias exactly once).
     """
-    t_taps, cin, cout = kernel.data.shape
+    cout = kernel.data.shape[2]
+    f = np.ascontiguousarray(features.data)   # the layout a gather hands to BLAS
+    if None in pairs and n_out != len(f):
+        raise ValueError(f"identity tap needs n_out == {len(f)} rows, got {n_out}")
     out = np.zeros((n_out, cout), dtype=np.float64)
-    for t, (rin, rout) in enumerate(pairs):
-        if len(rin):
-            y = np.take(features.data, rin, axis=0) @ kernel.data[t]
-            y += np.take(out, rout, axis=0)   # in place: one temporary fewer
-            out[rout] = y
+    for t, pair in enumerate(pairs):
+        if pair is None:
+            out += f @ kernel.data[t]
+        elif len(pair[0]):
+            y = f.take(pair[0], axis=0) @ kernel.data[t]
+            y += out.take(pair[1], axis=0)   # in place: one temporary fewer
+            out[pair[1]] = y
     if bias is not None:
         out += bias.data
 
     def vjp(g):
+        gc = np.ascontiguousarray(g)
         gf = np.zeros_like(features.data) if features.requires_grad else None
-        gk = np.zeros_like(kernel.data) if kernel.requires_grad else None
-        for t, (rin, rout) in enumerate(pairs):
-            if not len(rin):
+        gk = np.empty_like(kernel.data) if kernel.requires_grad else None
+        for t, pair in enumerate(pairs):
+            if pair is not None and not len(pair[0]):
+                if gk is not None:
+                    gk[t] = 0.0
                 continue
-            gslice = np.take(g, rout, axis=0)
+            gslice = gc if pair is None else gc.take(pair[1], axis=0)
             if gf is not None:
                 y = gslice @ kernel.data[t].T
-                y += np.take(gf, rin, axis=0)
-                gf[rin] = y
+                if pair is None:
+                    gf += y
+                else:
+                    y += gf.take(pair[0], axis=0)
+                    gf[pair[0]] = y
             if gk is not None:
-                np.matmul(np.take(features.data, rin, axis=0).T, gslice, out=gk[t])
+                np.matmul((f if pair is None else f.take(pair[0], axis=0)).T, gslice, out=gk[t])
         gb = g.sum(axis=0) if bias is not None else None
         return (gf, gk, gb) if bias is not None else (gf, gk)
 

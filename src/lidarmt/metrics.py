@@ -73,8 +73,7 @@ def _average_precision(tp: np.ndarray, n_gt: int) -> float:
     return float(interp[11:].mean())
 
 
-def center_distance_ap(samples, thresholds=AP_THRESHOLDS,
-                       k_thing: int = NUM_THING):
+def center_distance_ap(samples, thresholds=AP_THRESHOLDS):
     """Center-distance average precision over multiple distance thresholds.
 
     `samples` is a list of (predictions, gt_boxes) pairs, predictions being
@@ -82,8 +81,8 @@ def center_distance_ap(samples, thresholds=AP_THRESHOLDS,
     ground truth of the same class within the 2D center-distance threshold.
     Returns (per-class-per-threshold AP table, mAP over classes with gt).
     """
-    table = np.full((k_thing, len(thresholds)), np.nan)
-    for cls in range(1, k_thing + 1):
+    table = np.full((NUM_THING, len(thresholds)), np.nan)
+    for cls in range(1, NUM_THING + 1):
         preds, gts = [], []
         for s, (pred_list, gt_list) in enumerate(samples):
             preds += [(s, box, score) for box, score in pred_list

@@ -139,7 +139,8 @@ def _cached(key, build):
     if entry is None:
         pairs = build()
         # the last two parts of a key are the coordinate byte strings
-        entry = pairs, sum(map(len, key[-2:])) + sum(a.nbytes + b.nbytes for a, b in pairs)
+        entry = pairs, sum(map(len, key[-2:])) + sum(a.nbytes + b.nbytes
+                                                     for a, b in filter(None, pairs))
         held = sum(size for _, size in _RULEBOOK_CACHE.values())
         if held + entry[1] > _RULEBOOK_CACHE_BYTES:
             while _RULEBOOK_CACHE and held + entry[1] > _RULEBOOK_CACHE_BYTES // 2:
@@ -155,6 +156,7 @@ def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
     Sources and queries are unique positions inside grid_shape, so neither
     row array of a tap holds a duplicate. A lookup grid padded by one cell
     holds each source's row (-1 where empty); one fancy index reads all taps.
+    A tap mapping arange(n) onto itself, n = len(sources) = len(queries), is None.
     """
     dims = np.asarray(grid_shape) + 2
     grid = np.full(int(np.prod(dims)), -1, dtype=np.int64)
@@ -163,7 +165,8 @@ def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
     pairs = []
     for rows in nbr:
         hit = np.nonzero(rows >= 0)[0]
-        pairs.append((rows[hit], hit))
+        identity = 0 < len(sources) == len(hit) == len(rows) and (rows == hit).all()
+        pairs.append(None if identity else (rows[hit], hit))
     return pairs
 
 
@@ -175,12 +178,17 @@ def _conv_pairs(tensor: SparseVoxelTensor, out_coords: np.ndarray, stride: int):
                                           KERNEL_OFFSETS, tensor.spatial_shape))
 
 
+def _taps(kernel: ad.Tensor, cin: int) -> ad.Tensor:
+    """A (3, 3, 3, Cin, Cout) kernel as (27, Cin, Cout) taps."""
+    if kernel.ndim != 5 or kernel.shape[:4] != (3, 3, 3, cin):
+        raise ValueError(f"kernel shape {kernel.shape} does not fit input")
+    return ad.reshape(kernel, (27, cin, kernel.shape[4]))
+
+
 def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
                        bias: ad.Tensor) -> SparseVoxelTensor:
     """3x3x3 sparse convolution whose output sites equal the input sites."""
-    if kernel.data.shape[:3] != (3, 3, 3) or kernel.data.shape[3] != t.num_channels:
-        raise ValueError(f"kernel shape {kernel.data.shape} does not fit input")
-    k = ad.reshape(kernel, (27, kernel.data.shape[3], kernel.data.shape[4]))
+    k = _taps(kernel, t.num_channels)
     pairs = _conv_pairs(t, t.coords, stride=1)
     out = ad.tap_matmul_scatter(t.features, k, pairs, len(t), bias)
     return t.with_features(out)
@@ -195,8 +203,7 @@ def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
     """
     if any(s % stride for s in t.spatial_shape):
         raise ValueError(f"spatial_shape {t.spatial_shape} not divisible by {stride}")
-    if kernel.data.shape[3] != t.num_channels:
-        raise ValueError("kernel input width mismatch")
+    k = _taps(kernel, t.num_channels)
     out_shape = tuple(s // stride for s in t.spatial_shape)
     if len(t):
         down = t.coords // stride
@@ -204,7 +211,6 @@ def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
         out_coords = unpack_coords(keys, out_shape)
     else:
         out_coords = np.empty((0, 3), dtype=np.int64)
-    k = ad.reshape(kernel, (27, kernel.data.shape[3], kernel.data.shape[4]))
     pairs = _conv_pairs(t, out_coords, stride=stride)
     out = ad.tap_matmul_scatter(t.features, k, pairs, len(out_coords), bias)
     return SparseVoxelTensor(out_coords, out, out_shape)
@@ -217,11 +223,11 @@ def upsample_conv3d(coarse: SparseVoxelTensor, fine_coords: np.ndarray,
     fine-scale coordinates: fine[f] += K[t] . coarse[o] wherever 2o + t = f."""
     # built first so that out-of-grid or duplicate fine sites fail before the lookup
     fine = SparseVoxelTensor(fine_coords, np.zeros((len(fine_coords), 0)), fine_shape)
+    k = _taps(kernel, coarse.num_channels)
     grid_shape = np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape))
     key = ("up", coarse.spatial_shape, coarse._keys.tobytes(), fine.coords.tobytes())
     pairs = _cached(key, lambda: _rulebook(2 * coarse.coords, fine.coords, -KERNEL_OFFSETS,
                                            grid_shape))
-    k = ad.reshape(kernel, (27, kernel.data.shape[3], kernel.data.shape[4]))
     out = ad.tap_matmul_scatter(coarse.features, k, pairs, len(fine), bias)
     return fine.with_features(out)
 

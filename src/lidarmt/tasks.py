@@ -48,13 +48,12 @@ def gaussian_radius(footprint_cells: tuple, min_overlap: float = 0.1) -> float:
     return min(r1, r2, r3)
 
 
-def make_detection_targets(boxes: list[Box], geom: BevGeometry,
-                           k_thing: int = NUM_THING):
+def make_detection_targets(boxes: list[Box], geom: BevGeometry):
     """Gaussian-splatted class heatmaps plus regression targets at center
     cells. Heatmap peaks are exactly 1 at each center cell; the regression
     channels are (dx, dy, z, log sizes, sin yaw, cos yaw)."""
     h, w = geom.shape
-    heatmap = np.zeros((k_thing, h, w))
+    heatmap = np.zeros((NUM_THING, h, w))
     reg = np.zeros((REG_CHANNELS, h, w))
     mask = np.zeros((h, w), dtype=bool)
     for box in boxes:

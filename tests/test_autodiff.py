@@ -89,6 +89,27 @@ def _layer_norm_composed(x, eps=1e-6):
     return ad.mul(centered, ad.power(ad.add(var, ad.constant(eps)), -0.5))
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 32, 128, 129])
+def test_layer_norm_bytes_match_textbook_np_mean_form(width):
+    """Across numpy's pairwise-sum block boundaries, forward and vjp equal the
+    np.mean form in every bit, and the vjp leaves its incoming grad alone."""
+    r = rng(25)
+    data = r.normal(size=(37, width)) * np.exp(r.normal(size=(37, 1)))
+    g = r.normal(size=data.shape)
+    g_before = g.copy()
+    c = data - data.mean(axis=-1, keepdims=True)
+    rs = ((c * c).mean(axis=-1, keepdims=True) + 1e-6) ** -0.5
+    want = c * rs
+    want_grad = rs * (g - g.mean(axis=-1, keepdims=True)
+                      - want * (g * want).mean(axis=-1, keepdims=True))
+    x = ad.parameter(data.copy())
+    y = ad.layer_norm(x)
+    y.backward(g)
+    assert np.array_equal(y.data.view(np.int64), want.view(np.int64))
+    assert np.array_equal(x.grad.view(np.int64), want_grad.view(np.int64))
+    assert np.array_equal(g.view(np.int64), g_before.view(np.int64))
+
+
 _BASE = rng(18).normal(size=(40, 24))
 LAYER_NORM_REGIMES = {
     "plain": _BASE,

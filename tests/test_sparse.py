@@ -303,9 +303,25 @@ def rulebook_cases():
     yield empty, empty.coords
 
 
-def assert_same_unique_pairs(got, want):
+def expand_marker(pairs, n):
+    """A rulebook with its identity-tap marker (None) written out as rows."""
+    return [(np.arange(n), np.arange(n)) if p is None else p for p in pairs]
+
+
+def identity_taps(pairs, n_src, n_q):
+    """Taps whose reference rows are arange(n) on both sides, n = n_src = n_q > 0."""
+    return [t for t, (rin, rout) in enumerate(pairs)
+            if 0 < n_src == n_q == len(rin) and np.array_equal(rin, np.arange(n_src))
+            and np.array_equal(rout, np.arange(n_q))]
+
+
+def marked_taps(pairs):
+    return [t for t, p in enumerate(pairs) if p is None]
+
+
+def assert_same_unique_pairs(got, want, n):
     assert len(got) == len(want) == 27
-    for (gin, gout), (win, wout) in zip(got, want):
+    for (gin, gout), (win, wout) in zip(expand_marker(got, n), want):
         assert gin.dtype == win.dtype and gout.dtype == wout.dtype
         np.testing.assert_array_equal(gin, win)
         np.testing.assert_array_equal(gout, wout)
@@ -329,16 +345,23 @@ def test_rulebooks_match_rows_of_reference():
     b = ad.Tensor(np.zeros(2))
     for t, other in rulebook_cases():
         sparse._RULEBOOK_CACHE.clear()
-        assert_same_unique_pairs(sparse._conv_pairs(t, t.coords, 1),
-                                 rows_of_conv_pairs(t, t.coords, 1))
+        sub = sparse._conv_pairs(t, t.coords, 1)
+        assert_same_unique_pairs(sub, rows_of_conv_pairs(t, t.coords, 1), len(t))
+        # the centre tap of a non-empty submanifold rulebook is the marker
+        assert marked_taps(sub) == ([13] if len(t) else [])
         coarse = sparse.strided_conv3d(t, k, b)
-        assert_same_unique_pairs(sparse._conv_pairs(t, coarse.coords, 2),
-                                 rows_of_conv_pairs(t, coarse.coords, 2))
+        down = sparse._conv_pairs(t, coarse.coords, 2)
+        want = rows_of_conv_pairs(t, coarse.coords, 2)
+        assert_same_unique_pairs(down, want, len(t))
+        # elsewhere the marker stands exactly where the reference rows are the identity
+        assert marked_taps(down) == identity_taps(want, len(t), len(coarse))
         # transposed conv onto the encoder's own fine sites, and onto an
         # unrelated fine coordinate set (coarse sites with no fine child)
         for fine_coords in (t.coords, other):
-            assert_same_unique_pairs(up_rulebook(coarse, fine_coords, t.spatial_shape),
-                                     rows_of_up_pairs(coarse, fine_coords))
+            up = up_rulebook(coarse, fine_coords, t.spatial_shape)
+            want = rows_of_up_pairs(coarse, fine_coords)
+            assert_same_unique_pairs(up, want, len(coarse))
+            assert marked_taps(up) == identity_taps(want, len(coarse), len(fine_coords))
 
 
 def test_upsample_rejects_bad_fine_sites_before_lookup():
@@ -355,7 +378,7 @@ def add_at_reference(feats, kernel, bias, pairs, n_out, g):
     out = np.zeros((n_out, kernel.shape[2]))
     gf = np.zeros_like(feats)
     gk = np.zeros_like(kernel)
-    for t, (rin, rout) in enumerate(pairs):
+    for t, (rin, rout) in enumerate(expand_marker(pairs, len(feats))):
         if len(rin):
             np.add.at(out, rout, feats[rin] @ kernel[t])
             np.add.at(gf, rin, g[rout] @ kernel[t].T)
@@ -386,6 +409,47 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
         want = add_at_reference(feats.data, kern.data, bias.data, pairs, n_out, g)
         for got, ref in zip((out.data, feats.grad, kern.grad, bias.grad), want):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))   # tells -0.0 from 0.0
+
+
+# widths where BLAS takes a layout-dependent path (gemv for a width of 1)
+@pytest.mark.parametrize("cin,cout", [(3, 4), (1, 128), (48, 1)])
+def test_identity_tap_marker_matches_its_expanded_rows_byte_for_byte(cin, cout):
+    r = rng(23)
+    t = face_sparse(r, (16, 16, 8), 900, cin=cin)
+    pairs = sparse._conv_pairs(t, t.coords, 1)
+    assert pairs[13] is None
+    relu = t.features.data * (t.features.data > 0)    # -0.0 where negative
+    relu[:5] = -0.0
+    kernel, bias = r.normal(size=(27, cin, cout)), r.normal(size=cout)
+    g = r.normal(size=(len(t), cout))
+    # C-ordered inputs, then column-major ones (a transposed view's layout)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        results = []
+        for rulebook in (pairs, expand_marker(pairs, len(t))):
+            feats, kern, b = (ad.parameter(a.copy(order="K"))
+                              for a in (layout(relu), kernel, bias))
+            out = ad.tap_matmul_scatter(feats, kern, rulebook, len(t), b)
+            out.backward(layout(g))
+            results.append((out.data, feats.grad, kern.grad, b.grad))
+        for got, ref in zip(*results):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    with pytest.raises(ValueError, match="identity tap"):
+        ad.tap_matmul_scatter(ad.Tensor(relu), ad.Tensor(kernel), pairs, len(t) + 1)
+
+
+@pytest.mark.parametrize("conv", ["strided", "upsample"])
+def test_strided_and_upsample_reject_wrong_kernel_shapes(conv):
+    r = rng(24)
+    t = random_sparse(r, shape=(4, 4, 4), n=12, cin=2)
+    coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((3, 3, 3, 2, 2))),
+                                   ad.Tensor(np.zeros(2)))
+    for shape in ((3, 3, 3, 3, 2), (3, 3, 2, 2, 2), (27, 2, 2), (3, 3, 3, 2)):
+        kernel, bias = ad.Tensor(np.zeros(shape)), ad.Tensor(np.zeros(2))
+        with pytest.raises(ValueError, match="does not fit input"):
+            if conv == "strided":
+                sparse.strided_conv3d(t, kernel, bias)
+            else:
+                sparse.upsample_conv3d(coarse, t.coords, t.spatial_shape, kernel, bias)
 
 
 def test_rulebook_cache_stays_within_its_byte_budget(monkeypatch):
