@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .sparse import DenseBEVMap, SparseVoxelTensor, height_expand, scatter_to_dense
+from .sparse import (DenseBEVMap, SparseVoxelTensor, height_expand, pack_coords,
+                     scatter_to_dense, unpack_coords)
 
 
 @dataclass
@@ -225,13 +226,10 @@ def sparse_to_dense(t: SparseVoxelTensor, p: CrossSpaceParams,
     dense = scatter_to_dense(t)                              # (C, D, H, W)
     slices = ad.transpose(dense, (1, 2, 3, 0))               # (J, H, W, C)
     q = ad.reshape(slices, (d * h * w, c))
-    cell = np.arange(d * h * w)
-    u = cell % w
-    v = (cell // w) % h
-    hz = cell // (w * h)
-    refs = np.column_stack([u, v]).astype(np.float64)
-    meta = np.column_stack([u, v, hz]).astype(np.float64)
-    q = q + ad.gather_rows(p.pos_emb, (v * w + u))
+    uvh = unpack_coords(np.arange(d * h * w), t.spatial_shape)
+    refs = uvh[:, :2].astype(np.float64)
+    meta = uvh.astype(np.float64)
+    q = q + ad.gather_rows(p.pos_emb, pack_coords(uvh[:, :2], (w, h)))
     for blk in p.s2d_blocks:
         qn = ad.layer_norm(q)
         maps = ad.reshape(qn, (d, h, w, c))

@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .backbone import LinearUnit, linear_unit
 from .cross_space import FfnUnit, apply_ffn, init_ffn
+from .sparse import pack_coords, unpack_coords
 from .tasks import rank_peaks
 
 
@@ -198,17 +199,15 @@ def propose_centers(heatmap: np.ndarray, bev_feats: ad.Tensor, n_ctr: int,
                     proj: LinearUnit, pos_emb: ad.Tensor) -> CenterQuerySet:
     """Top-N local maxima of the class heatmaps, padded from the global top
     scores when there are fewer peaks. Ties break by linearized index."""
-    h, w = heatmap.shape[1:]
+    k, h, w = heatmap.shape
     picked = rank_peaks(heatmap)[0][:n_ctr]
-    cls = picked // (h * w)
-    yy = (picked // w) % h
-    xx = picked % w
-    cell = yy * w + xx
+    xyk = unpack_coords(picked, (w, h, k))
+    cell = pack_coords(xyk[:, :2], (w, h))
     q = ad.gather_rows(bev_feats, cell)
     q = q @ proj.weight + proj.bias
     q = q + ad.gather_rows(pos_emb, cell)
-    return CenterQuerySet(queries=q, positions=np.column_stack([xx, yy]),
-                          scores=heatmap.ravel()[picked], class_ids=(cls + 1).astype(np.int64))
+    return CenterQuerySet(queries=q, positions=xyk[:, :2], scores=heatmap.ravel()[picked],
+                          class_ids=xyk[:, 2] + 1)
 
 
 @dataclass
@@ -277,9 +276,8 @@ def cross_task_layer(eps: ad.Tensor, centers: ad.Tensor, voxels: ad.Tensor,
     # one attention over the whole BEV; keys outside the query's
     # window x window neighbourhood (Chebyshev distance) are masked
     h, w = hw
-    cells = np.arange(h * w)
-    far = np.maximum(np.abs(positions[:, :1] - cells % w),
-                     np.abs(positions[:, 1:] - cells // w)) > window // 2
+    cells = unpack_coords(np.arange(h * w), (w, h))
+    far = np.abs(positions[:, None] - cells).max(axis=2) > window // 2
     cen = cen + attend(ad.layer_norm(cen), bev_rows, p.center_cross, far)
     both = ad.concat([eps, cen], axis=0)
     both = both + apply_ffn(ad.layer_norm(both), p.ffn)

@@ -307,8 +307,9 @@ def concat_frames(current: SceneSample, history: list[SceneSample],
         if pose.shape != (4, 4):
             raise PoseError(f"pose must be 4x4, got {pose.shape}")
         moved = frame.points.copy()
-        moved[:, :3] = (frame.points[:, :3].astype(np.float64) @ pose[:3, :3].T
-                        + pose[:3, 3]).astype(np.float32)
+        with np.errstate(invalid="ignore"):   # inf * 0: a non-finite point stays non-finite
+            moved[:, :3] = (frame.points[:, :3].astype(np.float64) @ pose[:3, :3].T
+                            + pose[:3, 3]).astype(np.float32)
         moved[:, 4] = (frame.points[:, 4].astype(np.float64) - age * dt).astype(np.float32)
         parts.append(moved)
         labels.append(frame.labels)
@@ -365,7 +366,8 @@ def augment(sample: SceneSample, params: AugmentParams) -> SceneSample:
         yaws = math.pi - yaws
     if params.rotation:
         rot = yaw_matrix(params.rotation).T
-        xyz[:, :2] = xyz[:, :2] @ rot
+        with np.errstate(invalid="ignore"):   # as in concat_frames
+            xyz[:, :2] = xyz[:, :2] @ rot
         centers[:, :2] = centers[:, :2] @ rot
         yaws = yaws + params.rotation
     if params.scale != 1.0:

@@ -46,18 +46,6 @@ class ForwardOut:
     proposals: xtk.CenterQuerySet | None
 
 
-def bev_cell_majority_labels(frame: vx.VoxelizedFrame, cells: np.ndarray,
-                             hw: tuple) -> np.ndarray:
-    """Majority label per coarse BEV cell over the full-res voxels in it."""
-    h, w = hw
-    cell_of_voxel = (frame.indices[:, 1] // DOWNSAMPLE) * w \
-        + frame.indices[:, 0] // DOWNSAMPLE
-    counts = np.zeros((h * w, NUM_CLASSES + 1), dtype=np.int64)
-    np.add.at(counts, (cell_of_voxel, frame.voxel_labels.astype(np.int64)), 1)
-    flat = cells[:, 1] * w + cells[:, 0]
-    return (np.argmax(counts[flat, 1:], axis=1) + 1).astype(np.int32)
-
-
 class Model:
     """Holds parameters and geometry; forward() is pure given both. Given
     `values` (a checkpoint's arrays by name) it keeps them and draws nothing."""
@@ -80,9 +68,7 @@ class Model:
         # with `values`, `normal` gives zeros: allocated, but no page is touched
         rng = np.random.default_rng(cfg["model.seed"]) if values is None else \
             SimpleNamespace(normal=lambda loc=0.0, scale=1.0, size=None: np.zeros(size))
-        widths = cfg["model.vfe_widths"]
-        widths = list(widths) if isinstance(widths, tuple) else [int(widths)]
-        self.vfe = vx.init_vfe_params(11, widths, rng, out_dim=c)
+        self.vfe = vx.init_vfe_params(11, list(cfg["model.vfe_widths"]), rng, out_dim=c)
         self.encoder = bb.init_encoder(self.bcfg, c, rng)
         self.cross_space = xsp.init_cross_space(
             bottleneck, self.hw_bev, self.n_heights, rng,
@@ -120,9 +106,9 @@ class Model:
             self.seg_linear = bb.linear_unit(rng, c, NUM_CLASSES)
         self.loss_weights = LossWeights.create(("seg", "det_hm", "det_reg", "aux_seg"))
         self.geometry = BevGeometry(
-            origin=(float(self.grid.lo_array[0]), float(self.grid.lo_array[1])),
-            cell_size=(float(self.grid.size_array[0]) * DOWNSAMPLE,
-                       float(self.grid.size_array[1]) * DOWNSAMPLE),
+            origin=(float(self.grid.lo[0]), float(self.grid.lo[1])),
+            cell_size=(float(self.grid.size[0]) * DOWNSAMPLE,
+                       float(self.grid.size[1]) * DOWNSAMPLE),
             shape=self.hw_bev)
         if values is None:
             return
@@ -202,16 +188,16 @@ class Model:
         hm_logits = ad.conv2d(bev.features, self.hm_head.weight, self.hm_head.bias)
         reg_map = ad.conv2d(bev.features, self.reg_head.weight, self.reg_head.bias)
 
-        cells = np.unique(bottleneck.coords[:, :2], axis=0) if len(bottleneck) \
-            else np.empty((0, 2), dtype=np.int64)
-        cell_rows = cells[:, 1] * wb + cells[:, 0]
+        cells = np.unique(bottleneck.coords[:, :2], axis=0)    # the aux loss sums in this order
+        cell_rows = sparse.pack_coords(cells, (wb, hb))
 
         injected = self.inject_from_bev(bev, bottleneck.coords, collector)
         injected_t = bottleneck.with_features(injected)
         decoded = bb.decode(scales, injected_t, self.decoder)
 
         aux_feats = ad.gather_rows(bev_rows, cell_rows)
-        aux_labels = bev_cell_majority_labels(frame, cells, self.hw_bev)
+        voxel_cells = sparse.pack_coords(frame.indices[:, :2] // DOWNSAMPLE, (wb, hb))
+        aux_labels = vx.majority_vote(voxel_cells, frame.voxel_labels, hb * wb)[cell_rows]
         aux_logits = bb.aux_seg_head(aux_feats, self.aux_head)
 
         proposals = None
@@ -233,8 +219,9 @@ class Model:
 
             score_delta = centers @ self.center_score.weight + self.center_score.bias
             reg_delta = centers @ self.center_reg.weight + self.center_reg.bias
-            cell_idx = proposals.positions[:, 1] * wb + proposals.positions[:, 0]
-            hm_rows = (proposals.class_ids - 1) * (hb * wb) + cell_idx
+            cell_idx = sparse.pack_coords(proposals.positions, (wb, hb))
+            hm_rows = sparse.pack_coords(np.column_stack(
+                [proposals.positions, proposals.class_ids - 1]), (wb, hb, NUM_THING))
             hm_delta = ad.reshape(ad.put_rows(score_delta, hm_rows, NUM_THING * hb * wb),
                                   (NUM_THING, hb, wb))
             reg_delta_map = ad.transpose(

@@ -1,12 +1,15 @@
 """Sparse voxel tensors, submanifold / strided 3D convolutions, and the
 lossless mappings between sparse voxel space and dense arrays.
 
-Coordinates are (x, y, z) integer triples inside a (W, H, D) grid, packed
-to a 64-bit linear key (z*H + y)*W + x. Convolution rulebooks come from a
-dense lookup grid padded by one cell: each source row is written at its
-linear key, and one fancy index reads all 27 neighbour rows of every output
-site. `rows_of` (a binary search over the sorted keys) remains for ad-hoc
-queries.
+Coordinates are (x, y, z) integer triples inside a (W, H, D) grid.
+`pack_coords` and `unpack_coords` own the row-key layout of every grid, at
+any rank and with x fastest: (z*H + y)*W + x for (W, H, D) voxels, y*W + x
+for (W, H) BEV cells, (k*H + y)*W + x for (W, H, K) class heatmaps. No other
+module computes a grid key, except `autodiff.bilinear_sample` below this one.
+Convolution rulebooks come from a dense lookup grid padded by one cell: each
+source row is written at its key, and one fancy index reads all 27 neighbour
+rows of every output site. `rows_of` (a binary search over the sorted keys)
+remains for ad-hoc queries.
 
 Convolutions are cross-correlations: out[p] = sum_t K[t] . in[p + off_t],
 with taps enumerated row-major over (dx, dy, dz) in {-1, 0, 1}^3.
@@ -32,16 +35,20 @@ KERNEL_OFFSETS = np.array([(dx, dy, dz)
 
 
 def pack_coords(coords: np.ndarray, shape: tuple) -> np.ndarray:
-    w, h, _d = shape
-    return (coords[:, 2] * h + coords[:, 1]) * w + coords[:, 0]
+    """Row keys of (N, len(shape)) integer coordinates, the first axis fastest."""
+    keys = coords[:, len(shape) - 1]
+    for axis in range(len(shape) - 2, -1, -1):
+        keys = keys * shape[axis] + coords[:, axis]
+    return keys
 
 
 def unpack_coords(keys: np.ndarray, shape: tuple) -> np.ndarray:
-    w, h, _d = shape
-    out = np.empty((len(keys), 3), dtype=np.int64)
-    out[:, 0] = keys % w
-    out[:, 1] = (keys // w) % h
-    out[:, 2] = keys // (w * h)
+    """(N, len(shape)) int64 coordinates of non-negative row keys; inverse of pack_coords."""
+    out = np.empty((len(keys), len(shape)), dtype=np.int64)
+    rest = keys
+    for axis, size in enumerate(shape[:-1]):
+        rest, out[:, axis] = np.divmod(rest, size)
+    out[:, -1] = rest
     return out
 
 

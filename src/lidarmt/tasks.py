@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import NUM_THING, Box
+from .sparse import unpack_coords
 
 REG_CHANNELS = 8  # dx, dy, z, log l, log w, log h, sin yaw, cos yaw
 
@@ -203,10 +204,7 @@ def decode_boxes(heatmap: np.ndarray, reg: np.ndarray, geom: BevGeometry,
     peaks = ranked[:n_peaks]
     order = peaks[flat[peaks] >= threshold][:max_boxes]
     out = []
-    for idx in order:
-        cls = int(idx // (h * w))
-        cy = int((idx // w) % h)
-        cx = int(idx % w)
+    for idx, (cx, cy, cls) in zip(order, unpack_coords(order, (w, h, k)).tolist()):
         r = reg[:, cy, cx]
         x = (cx + r[0]) * geom.cell_size[0] + geom.origin[0]
         y = (cy + r[1]) * geom.cell_size[1] + geom.origin[1]

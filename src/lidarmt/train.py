@@ -13,7 +13,7 @@ from . import checkpoint as ck
 from . import metrics as mx
 from . import tasks
 from . import voxel as vx
-from .config import canonical_text, config_hash
+from .config import canonical_text, config_hash, load_config, parse_config_text
 from .cross_space import OffsetCollector
 from .data import (THING_SEMANTIC_OFFSET, SceneSample, augment, concat_frames,
                    draw_augment_params, read_dataset)
@@ -226,20 +226,18 @@ def save_model(path, model: Model, opt: AdamW | None, cfg: dict, step: int) -> N
 
 
 def load_model(path, cfg: dict | None = None):
-    """Rebuild the model a checkpoint was saved from; verify config hashes."""
-    from .config import parse_config_text  # local import avoids a cycle at module load
-
+    """Rebuild the model a checkpoint was saved from; verify config hashes.
+    Without `cfg`, the stored config is typed as `load_config` types a file."""
     data = ck.load_checkpoint(path)
     stored_cfg = parse_config_text(data.config_text)
-    if cfg is not None:
-        if config_hash(cfg) != data.config_hash:
-            raise ck.CheckpointError(
-                f"config hash mismatch: runtime {config_hash(cfg)[:12]} vs "
-                f"checkpoint {data.config_hash[:12]}")
-    else:
-        cfg = stored_cfg
+    if cfg is not None and config_hash(cfg) != data.config_hash:
+        raise ck.CheckpointError(
+            f"config hash mismatch: runtime {config_hash(cfg)[:12]} vs "
+            f"checkpoint {data.config_hash[:12]}")
     if config_hash(stored_cfg) != data.config_hash:
         raise ck.CheckpointError("checkpoint is internally inconsistent")
+    if cfg is None:
+        cfg = load_config(overrides=stored_cfg)
     return Model(cfg, data.params), cfg, data
 
 

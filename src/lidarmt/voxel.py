@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import NUM_CLASSES, labels_in_range
+from .sparse import pack_coords, unpack_coords
 
 
 class DevoxelizeError(Exception):
@@ -17,48 +18,38 @@ class DevoxelizeError(Exception):
 
 @dataclass
 class VoxelGridSpec:
-    """Grid geometry. dims is always ceil(range / size), cells indexed (x, y, z)."""
+    """Grid geometry. `lo`, `hi` and `size` are float64 arrays of range_min,
+    range_max and voxel_size; dims is ceil((hi - lo) / size), cells indexed (x, y, z)."""
 
     voxel_size: tuple = (0.5, 0.5, 0.5)
     range_min: tuple = (0.0, 0.0, 0.0)
     range_max: tuple = (16.0, 16.0, 4.0)
 
     def __post_init__(self):
-        size = np.asarray(self.voxel_size, dtype=np.float64)
-        lo = np.asarray(self.range_min, dtype=np.float64)
-        hi = np.asarray(self.range_max, dtype=np.float64)
-        if size.shape != (3,) or lo.shape != (3,) or hi.shape != (3,):
+        self.size = np.asarray(self.voxel_size, dtype=np.float64)
+        self.lo = np.asarray(self.range_min, dtype=np.float64)
+        self.hi = np.asarray(self.range_max, dtype=np.float64)
+        if self.size.shape != (3,) or self.lo.shape != (3,) or self.hi.shape != (3,):
             raise ValueError("voxel_size and ranges must have 3 components")
-        if not (size > 0).all():
+        if not (self.size > 0).all():
             raise ValueError("voxel_size must be positive")
-        if not (hi > lo).all():
+        if not (self.hi > self.lo).all():
             raise ValueError("range_max must exceed range_min")
-        self._size = size
-        self._lo = lo
-        self._hi = hi
-        self.dims = tuple(int(d) for d in np.ceil((hi - lo) / size))
-
-    @property
-    def size_array(self) -> np.ndarray:
-        return self._size
-
-    @property
-    def lo_array(self) -> np.ndarray:
-        return self._lo
+        self.dims = tuple(int(d) for d in np.ceil((self.hi - self.lo) / self.size))
 
     def centers_of(self, indices: np.ndarray) -> np.ndarray:
-        return self._lo + (indices.astype(np.float64) + 0.5) * self._size
+        return self.lo + (indices.astype(np.float64) + 0.5) * self.size
 
 
 def in_range_mask(xyz: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     xyz = np.asarray(xyz, dtype=np.float64)
-    return ((xyz >= spec.lo_array) & (xyz < spec._hi)).all(axis=1)
+    return ((xyz >= spec.lo) & (xyz < spec.hi)).all(axis=1)
 
 
 def compute_voxel_index(xyz: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     """floor((coord - range_min) / voxel_size) per axis; callers filter range."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=np.float64))
-    return np.floor((xyz - spec.lo_array) / spec.size_array).astype(np.int64)
+    return np.floor((xyz - spec.lo) / spec.size).astype(np.int64)
 
 
 @dataclass
@@ -82,6 +73,14 @@ class VoxelizedFrame:
         return len(self.indices)
 
 
+def majority_vote(group: np.ndarray, labels: np.ndarray, n_groups: int) -> np.ndarray:
+    """Most frequent label in 1..NUM_CLASSES of each group 0..n_groups-1, as
+    int32; ties go to the lowest class, and a group without members gets 1."""
+    keys = pack_coords(np.column_stack([labels - 1, group]), (NUM_CLASSES, n_groups))
+    counts = np.bincount(keys, minlength=NUM_CLASSES * n_groups).reshape(n_groups, NUM_CLASSES)
+    return (np.argmax(counts, axis=1) + 1).astype(np.int32)
+
+
 def group_and_vote(xyz: np.ndarray, labels: np.ndarray,
                    spec: VoxelGridSpec) -> VoxelizedFrame:
     """Group in-range points by voxel and majority-vote a label per voxel.
@@ -94,21 +93,10 @@ def group_and_vote(xyz: np.ndarray, labels: np.ndarray,
     if not labels_in_range(labels):
         raise ValueError(f"point label outside 1..{NUM_CLASSES}")
     kept = in_range_mask(xyz, spec)
-    idx = compute_voxel_index(xyz[kept], spec)
-    w, h, d = spec.dims
-    linear = (idx[:, 2] * h + idx[:, 1]) * w + idx[:, 0]
-    uniq, inverse = np.unique(linear, return_inverse=True)
-    m = len(uniq)
-    indices = np.empty((m, 3), dtype=np.int64)
-    indices[:, 0] = uniq % w
-    indices[:, 1] = (uniq // w) % h
-    indices[:, 2] = uniq // (w * h)
-
-    counts = np.zeros((m, NUM_CLASSES + 1), dtype=np.int64)
-    np.add.at(counts, (inverse, labels[kept].astype(np.int64)), 1)
-    voxel_labels = np.argmax(counts[:, 1:], axis=1).astype(np.int32) + 1
-
-    return VoxelizedFrame(indices=indices, point_to_voxel=inverse,
+    keys = pack_coords(compute_voxel_index(xyz[kept], spec), spec.dims)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    voxel_labels = majority_vote(inverse, labels[kept].astype(np.int64), len(uniq))
+    return VoxelizedFrame(indices=unpack_coords(uniq, spec.dims), point_to_voxel=inverse,
                           voxel_labels=voxel_labels, kept=kept,
                           dropped=int(len(xyz) - kept.sum()),
                           non_finite=int(len(xyz) - np.isfinite(xyz).all(axis=1).sum()),

@@ -101,8 +101,8 @@ def test_equal_peaks_tie_break_by_linear_index():
 
 def test_proposals_match_bruteforce_nms_oracle():
     r = rng(6)
-    proj, pos, bev = _proposal_fixture(r)
-    hm = r.uniform(0.0, 1.0, size=(3, 5, 5))
+    proj, pos, bev = _proposal_fixture(r, h=5, w=7)
+    hm = r.uniform(0.0, 1.0, size=(3, 5, 7))
     n_ctr = 6
     out = xt.propose_centers(hm, bev, n_ctr, proj, pos)
     # oracle: suppress non-maxima with an explicit window scan, then sort
@@ -131,11 +131,11 @@ def test_proposals_pad_from_global_scores():
     assert tuple(out.positions[0]) == (2, 2)
 
 
-def _decoder_fixture(r, k=3, m=5, c=4, width=4, heads=1, bev_hw=(4, 4)):
+def _decoder_fixture(r, k=3, m=5, c=4, width=4, heads=1, bev_hw=(4, 4), window=3):
     h, w = bev_hw
     p = live_cross_task(xt.init_cross_task(
         width, voxel_dim=c, bev_dim=c, grid_hw=bev_hw, rng=r, n_layers=1, n_heads=heads,
-        head_dim=width // heads, ffn_hidden=8, window=3), r)
+        head_dim=width // heads, ffn_hidden=8, window=window), r)
     eps = ad.Tensor(r.normal(size=(k, width)))
     voxels = ad.Tensor(r.normal(size=(m, c)))
     bev_rows = ad.Tensor(r.normal(size=(h * w, c)))
@@ -388,35 +388,31 @@ def _window_rows(pos, h, w, radius):
     return (vv.ravel() * w + uu.ravel()).astype(np.int64)
 
 
-@pytest.mark.parametrize("side,window", [(8, 7), (4, 3)])
-def test_center_window_attention_matches_per_query_loop(side, window):
+@pytest.mark.parametrize("w,window", [(8, 7), (4, 3)])
+def test_center_window_attention_matches_per_query_loop(w, window):
     """The masked center attention equals attending each query to the cells
-    of its own clipped window, one query at a time."""
+    of its own clipped window, one query at a time, on a BEV three cells
+    taller than wide."""
     r = rng(18)
-    c = 6
-    p = live_cross_task(xt.init_cross_task(c, voxel_dim=5, bev_dim=c, grid_hw=(side, side),
-                                           rng=r, n_layers=1, n_heads=2, head_dim=3,
-                                           ffn_hidden=8, window=window), r)
+    c, h = 6, w + 3
+    p, eps, voxels, bev_rows = _decoder_fixture(r, k=3, m=4, c=c, width=c, heads=2,
+                                                bev_hw=(h, w), window=window)
     layer = p.layers[0]
     for t in (layer.center_cross.bq, layer.center_cross.bv, layer.center_cross.bo):
         t.data[:] = r.normal(size=t.data.shape)
     # identity self-attention and feed-forward leave only the center branch
     for t in (layer.self_attn.wo, layer.self_attn.bo, layer.ffn.w2, layer.ffn.b2):
         t.data[:] = 0.0
-    last, mid = side - 1, side // 2
-    positions = np.array([[0, 0], [last, 0], [0, last], [last, last],   # corners
-                          [mid, 0], [0, mid], [last, mid], [mid, last],  # edges
-                          [mid, mid], [1, mid - 1]])                     # centre
-    eps = ad.Tensor(r.normal(size=(3, c)))
+    positions = np.array([[0, 0], [w - 1, 0], [0, h - 1], [w - 1, h - 1],           # corners
+                          [w // 2, 0], [0, h // 2], [w - 1, h // 2], [w // 2, h - 1],  # edges
+                          [w // 2, h // 2], [1, h // 2 - 1]])                          # centre
     cen = ad.Tensor(r.normal(size=(len(positions), c)))
-    bev_rows = ad.Tensor(r.normal(size=(side * side, c)))
-    voxels = ad.Tensor(r.normal(size=(4, 5)))
-    _, got, _ = xt.cross_task_layer(eps, cen, voxels, bev_rows, positions, (side, side),
+    _, got, _ = xt.cross_task_layer(eps, cen, voxels, bev_rows, positions, (h, w),
                                     layer, window)
     normed = ad.layer_norm(cen)
     want = np.concatenate([
         xt.attend(normed[np.array([qi])],
-                  ad.gather_rows(bev_rows, _window_rows(pos, side, side, window // 2)),
+                  ad.gather_rows(bev_rows, _window_rows(pos, h, w, window // 2)),
                   layer.center_cross).data
         for qi, pos in enumerate(positions)])
     np.testing.assert_allclose(got.data, cen.data + want, rtol=1e-12, atol=1e-12)

@@ -1,10 +1,12 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lidarmt
 from lidarmt import autodiff as ad
@@ -16,6 +18,7 @@ from lidarmt import data
 from lidarmt import metrics
 from lidarmt import sparse
 from lidarmt import train as tr
+from lidarmt import voxel as vx
 from lidarmt.cross_space import OffsetCollector
 from lidarmt.model import EmptyFrameError, Model
 
@@ -154,6 +157,26 @@ def test_forward_shape_contracts():
     assert len(out.aux_labels) == out.aux_logits.shape[0]
 
 
+def test_aux_labels_are_the_per_cell_vote_on_a_non_square_grid_with_two_heights():
+    cfg = tiny_cfg(**{"scene.extent_max": (4.0, 12.0, 8.0)})
+    model = Model(cfg)
+    assert model.hw_bev == (4, 2) and model.n_heights == 2
+    r = rng(3)
+    xyz = r.uniform(cfg["scene.extent_min"], cfg["scene.extent_max"], (400, 3))
+    scene = data.SceneSample(points=np.column_stack([xyz, np.zeros((400, 2))]),
+                             labels=r.integers(1, 7, 400), boxes=[])
+    out = model.forward(scene)
+    cells = out.frame.indices[:, :2] // 8
+    np.testing.assert_array_equal(out.bev_cells, np.unique(cells, axis=0))
+    ties = 0
+    for (u, v), got in zip(out.bev_cells, out.aux_labels):
+        votes = np.bincount(out.frame.voxel_labels[(cells == (u, v)).all(axis=1)],
+                            minlength=7)[1:]
+        ties += (votes == votes.max()).sum() > 1
+        assert got == np.flatnonzero(votes == votes.max())[0] + 1
+    assert ties > 0
+
+
 def test_forward_deterministic():
     samples, cfg = tiny_scenes(1)
     model = Model(cfg)
@@ -257,6 +280,113 @@ def test_forward_on_frames_with_no_voxel_raises_typed_error(decoder):
             model.forward(frame)
 
 
+@st.composite
+def degenerate_frames(draw):
+    """A frame of the tiny extent built from 1-2 degenerate parts, with zero
+    boxes, a box at the extent's edge, or a box holding exactly one point."""
+    cfg = tiny_cfg()
+    lo, hi = np.array(cfg["scene.extent_min"]), np.array(cfg["scene.extent_max"])
+    size = np.array(cfg["grid.voxel_size"])
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["few", "one_voxel", "upper_faces",
+                                               "non_finite", "out_of_range"]),
+                              min_size=1, max_size=2, unique=True)):
+        if kind == "few":
+            xyz = r.uniform(lo, hi, (draw(st.integers(0, 4)), 3))
+        elif kind == "one_voxel":
+            cell = r.integers(0, np.round((hi - lo) / size).astype(int))
+            n = draw(st.sampled_from([2, 50, 2000]))
+            xyz = lo + (cell + r.uniform(0.05, 0.95, (n, 3))) * size
+        elif kind == "upper_faces":
+            xyz = r.uniform(lo, hi, (6, 3))
+            axis = r.integers(0, 3, 6)
+            inside = np.nextafter(hi.astype(np.float32), np.float32(-np.inf))
+            xyz[np.arange(6), axis] = np.where(r.random(6) < 0.5, hi[axis], inside[axis])
+        elif kind == "non_finite":
+            xyz = r.uniform(lo, hi, (4, 3))
+            xyz[np.arange(4), r.integers(0, 3, 4)] = [np.nan, np.inf, -np.inf, np.nan]
+        else:
+            xyz = np.where(r.random((5, 1)) < 0.5, hi + r.uniform(0, 3, (5, 3)),
+                           lo - r.uniform(0.01, 3, (5, 3)))
+        parts.append(xyz)
+    xyz = np.concatenate(parts)
+    labels = r.integers(1, data.NUM_CLASSES + 1, len(xyz))
+    boxes = []
+    box_kind = draw(st.sampled_from(["none", "edge", "one_point"]))
+    if box_kind == "edge":
+        center = np.where(r.random(3) < 0.5, lo, hi)
+        boxes.append(data.Box(center=center, size=r.uniform(0.5, 3.0, 3),
+                              yaw=r.uniform(-np.pi, np.pi), class_id=int(r.integers(1, 5))))
+    elif box_kind == "one_point":
+        box = data.Box(center=r.uniform(lo + 1, hi - 1), size=(1.0, 1.0, 1.0), yaw=0.0,
+                       class_id=int(r.integers(1, 5)))
+        with np.errstate(invalid="ignore"):   # a non-finite point is in no box
+            keep = ~data.points_in_box(xyz, box)
+        xyz = np.concatenate([xyz[keep], box.center[None].astype(np.float64)])
+        labels = np.append(labels[keep], box.semantic_label)
+        boxes.append(box)
+    points = np.column_stack([xyz, r.uniform(0, 1, len(xyz)), np.zeros(len(xyz))])
+    return data.SceneSample(points=points, labels=labels, boxes=boxes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(frame=degenerate_frames(), history=st.integers(0, 1), augmented=st.booleans())
+def test_degenerate_frames_through_every_entry_point(frame, history, augmented):
+    """Train, infer, evaluate and inspect_offsets on degenerate frames: each
+    returns finite values, the same bytes twice, or raises EmptyFrameError
+    exactly when its view holds no in-range point; infer always returns."""
+    cfg = tiny_cfg(**{"frames.history": history, "augment.enabled": augmented,
+                      "train.steps": 2})
+    model = Model(cfg)
+    grid, seed = model.grid, cfg["train.seed"]
+
+    def no_point(view):
+        return not vx.in_range_mask(view.xyz, grid).any()
+
+    def twice(fn, empty, as_bytes):
+        if empty:
+            with pytest.raises(EmptyFrameError) as info:
+                fn()
+            assert type(info.value) is EmptyFrameError
+            return None
+        first = fn()
+        assert as_bytes(fn()) == as_bytes(first)
+        return first
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty_step = any(no_point(tr.training_view(frame, cfg, s, seed)) for s in range(2))
+        trained = twice(lambda: tr.train(cfg, samples=[frame]), empty_step,
+                        lambda run: (repr(vars(run[1])), [p.data.tobytes() for p in
+                                                         run[0].parameters().values()]))
+        if trained is not None:
+            model, log = trained
+            assert all(math.isfinite(v) for v in log.raw_loss + log.grad_norm)
+            assert all(math.isfinite(v) for vs in log.per_task.values() for v in vs)
+
+        result = twice(lambda: tr.infer(model, frame, cfg), False, repr)
+        labels = np.array(result["point_labels"])
+        assert len(labels) == len(frame.points) and ((labels >= 0) & (labels <= 6)).all()
+        np.testing.assert_array_equal(labels > 0, vx.in_range_mask(frame.xyz, grid))
+        assert len(result["boxes"]) <= cfg["detect.max_boxes"]
+        assert all(math.isfinite(b["score"]) for b in result["boxes"])
+        if not (labels > 0).any():
+            assert result["boxes"] == []
+
+        empty_view = no_point(tr.training_view(frame, cfg, 0, seed, allow_augment=False))
+        report = twice(lambda: tr.evaluate(model, [frame], cfg), empty_view, repr)
+        if report is not None:
+            for key, value in report.items():
+                nan_when = {"mean_ap": not frame.boxes, "point_miou": empty_view}
+                assert math.isnan(value) == nan_when.get(key, False), key
+        rows = twice(lambda: tr.inspect_offsets(model, frame, cfg), empty_view,
+                     lambda a: a.tobytes())
+        if rows is not None:
+            assert rows.shape[1] == 9 and np.isfinite(rows).all()
+
+
 def test_infer_voxelizes_once(monkeypatch):
     samples, cfg = tiny_scenes(1)
     model = Model(cfg)
@@ -338,6 +468,18 @@ def test_load_model_draws_no_initial_values(tmp_path, monkeypatch):
     loaded, _cfg, _ck = tr.load_model(tmp_path / "m.ckpt")
     for name, tensor in model.parameters().items():
         np.testing.assert_array_equal(loaded.parameters()[name].data, tensor.data)
+
+
+def test_load_model_returns_the_saved_config_and_rejects_unknown_keys(tmp_path):
+    cfg = tiny_cfg(**{"model.vfe_widths": (8,)})   # stored as the bare text "8"
+    tr.save_model(tmp_path / "m.ckpt", Model(cfg), None, cfg, step=0)
+    assert tr.load_model(tmp_path / "m.ckpt")[1] == cfg
+    saved = ck.load_checkpoint(tmp_path / "m.ckpt")
+    saved.config_text += "model.typo = 1\n"
+    saved.config_hash = cf.config_hash(cf.parse_config_text(saved.config_text))
+    ck.save_checkpoint(tmp_path / "m.ckpt", saved)
+    with pytest.raises(cf.ConfigError, match="model.typo"):
+        tr.load_model(tmp_path / "m.ckpt")
 
 
 @pytest.mark.parametrize("edit,named", [
