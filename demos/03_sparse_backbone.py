@@ -26,13 +26,13 @@ t = sparse.SparseVoxelTensor(coords, r.normal(size=(400, 8)), shape)
 print(f"input: {len(t)} voxels in {shape}, {t.num_channels} channels")
 
 cfg = bb.BackboneConfig(base_channels=8)
-enc = bb.init_encoder(cfg, 8, r)
+enc = bb.init_encoder(cfg, 8, r, shape)
 scales = bb.encode(t, enc)
 for i, s in enumerate(scales):
     print(f"  scale 1/{2**i}: shape {s.spatial_shape}, {len(s)} voxels, "
           f"{s.num_channels} channels")
 
-dec = bb.init_decoder(cfg, scales[3].num_channels, r)
+dec = bb.init_decoder(cfg, scales[3].num_channels, r, shape)
 out = bb.decode(scales, scales[3], dec)
 assert np.array_equal(out.coords, t.coords)
 print("decoder returns exactly the input coordinate set: ok")
@@ -54,15 +54,15 @@ extracted = bb.bev_extract(bev_map, bb.init_bev_extractor(bev.shape[0], r))
 print(f"BEV extractor: {bev.shape} -> {extracted.features.shape}")
 
 # one dense-oracle spot check of a submanifold convolution
-k = ad.Tensor(r.normal(size=(3, 3, 3, 8, 4)))
+k = ad.Tensor(r.normal(size=(27, 8, 4)))   # (taps, Cin, Cout): all 27 live at full resolution
 b = ad.Tensor(r.normal(size=4))
 conv = sparse.submanifold_conv3d(t, k, b)
 row = 5
 x, y, z = t.coords[row]
 acc = b.data.copy()
-for off in sparse.KERNEL_OFFSETS:
+for tap, off in enumerate(sparse.KERNEL_OFFSETS):
     rows_, found = t.rows_of(np.array([[x, y, z] + off]))
     if found[0]:
-        acc = acc + t.features.data[rows_[0]] @ k.data[tuple(off + 1)]
+        acc = acc + t.features.data[rows_[0]] @ k.data[tap]
 assert np.allclose(conv.features.data[row], acc, atol=1e-12)
 print("submanifold conv matches the neighborhood sum at a random site: ok")

@@ -521,8 +521,8 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
     """Core of sparse convolution: sum over kernel taps of gathered matmuls.
 
     `pairs[t] = (in_rows, out_rows)` routes features (M, Cin) through
-    kernel (T, Cin, Cout) into an (n_out, Cout) accumulator. Taps with no
-    pairs may pass empty arrays. Within one tap, in_rows and out_rows must
+    kernel (len(pairs), Cin, Cout) into an (n_out, Cout) accumulator. Taps with
+    no pairs may pass empty arrays. Within one tap, in_rows and out_rows must
     each hold no duplicates (conv rulebooks do so by construction): the
     accumulation is then a plain indexed add, exactly like np.add.at in either
     operand order, with rows moved by ndarray.take, faster than fancy indexing.
@@ -531,6 +531,8 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
     Bias, when given, is added to every output row (submanifold/strided conv
     semantics: every active output site gets the bias exactly once).
     """
+    if kernel.data.ndim != 3 or kernel.data.shape[:2] != (len(pairs), features.data.shape[1]):
+        raise ValueError(f"kernel shape {kernel.data.shape} does not fit input ({len(pairs)} taps)")
     cout = kernel.data.shape[2]
     f = np.ascontiguousarray(features.data)   # the layout a gather hands to BLAS
     if None in pairs and n_out != len(f):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .sparse import (DenseBEVMap, SparseVoxelTensor, CoordinateError,
+from .sparse import (DenseBEVMap, SparseVoxelTensor, CoordinateError, live_taps,
                      submanifold_conv3d, strided_conv3d, upsample_conv3d)
 
 
@@ -26,7 +26,7 @@ class BackboneConfig:
 
 @dataclass
 class ConvUnit:
-    kernel: ad.Tensor  # (3, 3, 3, Cin, Cout)
+    kernel: ad.Tensor  # (T, Cin, Cout): one block per live tap (sparse.live_taps)
     bias: ad.Tensor
 
 
@@ -42,9 +42,13 @@ class LinearUnit:
     bias: ad.Tensor
 
 
-def conv3d_unit(rng, cin, cout):
-    scale = np.sqrt(2.0 / (27 * cin))
-    return ConvUnit(kernel=ad.parameter(rng.normal(0, scale, size=(3, 3, 3, cin, cout))),
+def conv3d_unit(rng, cin, cout, fine, coarse=None):
+    """A conv on grid `fine`, strided onto `coarse` when given, over its live taps only.
+    A generator draws the full 27-tap block, so its stream and values match on any grid."""
+    taps = live_taps(fine, coarse or fine, 1 if coarse is None else 2)
+    draws = isinstance(rng, np.random.Generator)   # else Model's checkpoint stand-in: touch no page
+    block = rng.normal(0, np.sqrt(2.0 / (27 * cin)), size=(27 if draws else len(taps), cin, cout))
+    return ConvUnit(kernel=ad.parameter(block if len(block) == len(taps) else block[taps]),
                     bias=ad.parameter(np.zeros(cout)))
 
 
@@ -81,27 +85,29 @@ class BevExtractorParams:
     fuse: Conv2dUnit
 
 
-def init_encoder(cfg: BackboneConfig, in_channels: int,
-                 rng: np.random.Generator) -> EncoderParams:
+def init_encoder(cfg: BackboneConfig, in_channels: int, rng: np.random.Generator,
+                 shape: tuple) -> EncoderParams:
     p = EncoderParams()
     widths = cfg.stage_widths
+    shapes = [tuple(n >> s for n in shape) for s in range(4)]
     prev = in_channels
     for s, w in enumerate(widths):
-        p.stages.append([conv3d_unit(rng, prev, w), conv3d_unit(rng, w, w)])
+        p.stages.append([conv3d_unit(rng, prev, w, shapes[s]), conv3d_unit(rng, w, w, shapes[s])])
         if s < 3:
             prev = widths[s + 1]
-            p.downs.append(conv3d_unit(rng, w, prev))
+            p.downs.append(conv3d_unit(rng, w, prev, shapes[s], shapes[s + 1]))
     return p
 
 
-def init_decoder(cfg: BackboneConfig, injected_channels: int,
-                 rng: np.random.Generator) -> DecoderParams:
+def init_decoder(cfg: BackboneConfig, injected_channels: int, rng: np.random.Generator,
+                 shape: tuple) -> DecoderParams:
     p = DecoderParams()
     widths = cfg.stage_widths
+    shapes = [tuple(n >> s for n in shape) for s in range(4)]
     prev = injected_channels
     for lvl in (2, 1, 0):
-        p.ups.append(conv3d_unit(rng, prev, widths[lvl]))
-        p.fuses.append(conv3d_unit(rng, 2 * widths[lvl], widths[lvl]))
+        p.ups.append(conv3d_unit(rng, prev, widths[lvl], shapes[lvl], shapes[lvl + 1]))
+        p.fuses.append(conv3d_unit(rng, 2 * widths[lvl], widths[lvl], shapes[lvl]))
         prev = widths[lvl]
     return p
 

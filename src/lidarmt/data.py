@@ -143,7 +143,8 @@ def yaw_matrix(yaw: float) -> np.ndarray:
 def points_in_box(xyz: np.ndarray, box: Box, tol: float = 1e-9) -> np.ndarray:
     """Membership mask: |box-frame coordinate| <= half size (+tol) on all axes."""
     local = xyz.astype(np.float64) - box.center.astype(np.float64)
-    local[:, :2] = local[:, :2] @ yaw_matrix(box.yaw)  # inverse rotation
+    with np.errstate(invalid="ignore"):   # as in concat_frames: a non-finite point is in no box
+        local[:, :2] = local[:, :2] @ yaw_matrix(box.yaw)  # inverse rotation
     half = box.size.astype(np.float64) / 2.0
     return (np.abs(local) <= half + tol).all(axis=1)
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from . import container as cx
 from .data import NUM_CLASSES, NUM_THING, labels_in_range
+from .sparse import pack_coords
 
 AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)  # meters
 
@@ -20,9 +21,8 @@ def confusion_matrix(gt: np.ndarray, pred: np.ndarray,
         raise ValueError("gt and pred length mismatch")
     if not (labels_in_range(gt, k) and labels_in_range(pred, k)):
         raise ValueError(f"label outside 1..{k}")
-    cm = np.zeros((k, k), dtype=np.int64)
-    np.add.at(cm, (gt - 1, pred - 1), 1)
-    return cm
+    keys = pack_coords(np.column_stack([pred - 1, gt - 1]), (k, k))
+    return np.bincount(keys, minlength=k * k).reshape(k, k)
 
 
 def miou(cm: np.ndarray):

@@ -69,7 +69,7 @@ class Model:
         rng = np.random.default_rng(cfg["model.seed"]) if values is None else \
             SimpleNamespace(normal=lambda loc=0.0, scale=1.0, size=None: np.zeros(size))
         self.vfe = vx.init_vfe_params(11, list(cfg["model.vfe_widths"]), rng, out_dim=c)
-        self.encoder = bb.init_encoder(self.bcfg, c, rng)
+        self.encoder = bb.init_encoder(self.bcfg, c, rng, self.grid.dims)
         self.cross_space = xsp.init_cross_space(
             bottleneck, self.hw_bev, self.n_heights, rng,
             n_heads=cfg["model.cross_space.heads"],
@@ -84,7 +84,7 @@ class Model:
         self.hm_head.bias.data[:] = -2.19  # start near sigmoid ~ 0.1
         self.reg_head = bb.conv2d_unit(rng, self.bev_channels, REG_CHANNELS)
         self.aux_head = bb.linear_unit(rng, self.bev_channels, NUM_CLASSES)
-        self.decoder = bb.init_decoder(self.bcfg, bottleneck, rng)
+        self.decoder = bb.init_decoder(self.bcfg, bottleneck, rng, self.grid.dims)
         if cfg["model.cross_task.enabled"]:
             self.cross_task = xtk.init_cross_task(
                 cfg["model.cross_task.width"], voxel_dim=c,

@@ -7,17 +7,19 @@ any rank and with x fastest: (z*H + y)*W + x for (W, H, D) voxels, y*W + x
 for (W, H) BEV cells, (k*H + y)*W + x for (W, H, K) class heatmaps. No other
 module computes a grid key, except `autodiff.bilinear_sample` below this one.
 Convolution rulebooks come from a dense lookup grid padded by one cell: each
-source row is written at its key, and one fancy index reads all 27 neighbour
-rows of every output site. `rows_of` (a binary search over the sorted keys)
-remains for ad-hoc queries.
+source row is written at its key, and one fancy index reads the neighbour
+rows of every output site at every live tap. `rows_of` (a binary search over
+the sorted keys) remains for ad-hoc queries.
 
-Convolutions are cross-correlations: out[p] = sum_t K[t] . in[p + off_t],
-with taps enumerated row-major over (dx, dy, dz) in {-1, 0, 1}^3.
+Convolutions are cross-correlations, out[p] = sum_t K[t] . in[p + off_t], with a
+(T, Cin, Cout) kernel over the T live taps (`live_taps`): the offsets in {-1, 0, 1}^3
+that pair some in-grid input site with some in-grid output site on every axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +34,16 @@ KERNEL_OFFSETS = np.array([(dx, dy, dz)
                            for dx in (-1, 0, 1)
                            for dy in (-1, 0, 1)
                            for dz in (-1, 0, 1)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def live_taps(in_shape: tuple, out_shape: tuple, stride: int) -> np.ndarray:
+    """Read-only indices into KERNEL_OFFSETS of the offsets d with in = stride * out + d
+    for in-grid sites: d = 0 alone on a size-1 submanifold axis, d >= 0 on a size-1 out axis."""
+    first = (KERNEL_OFFSETS < 0).astype(np.int64)   # the first output a d < 0 reaches
+    taps = np.nonzero(((first < out_shape) & (stride * first + KERNEL_OFFSETS < in_shape)).all(1))[0]
+    taps.flags.writeable = False
+    return taps
 
 
 def pack_coords(coords: np.ndarray, shape: tuple) -> np.ndarray:
@@ -178,26 +190,19 @@ def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
 
 
 def _conv_pairs(tensor: SparseVoxelTensor, out_coords: np.ndarray, stride: int):
-    """Per-tap (input rows, output rows) route for a 3x3x3 correlation."""
-    key = ("conv", tensor.spatial_shape, stride, tensor._keys.tobytes(),
-           out_coords.tobytes())
+    """Per-live-tap (input rows, output rows) route for a 3x3x3 correlation."""
+    shape = tensor.spatial_shape
+    key = ("conv", shape, stride, tensor._keys.tobytes(), out_coords.tobytes())
+    taps = live_taps(shape, tuple(s // stride for s in shape), stride)
     return _cached(key, lambda: _rulebook(tensor.coords, out_coords * stride,
-                                          KERNEL_OFFSETS, tensor.spatial_shape))
-
-
-def _taps(kernel: ad.Tensor, cin: int) -> ad.Tensor:
-    """A (3, 3, 3, Cin, Cout) kernel as (27, Cin, Cout) taps."""
-    if kernel.ndim != 5 or kernel.shape[:4] != (3, 3, 3, cin):
-        raise ValueError(f"kernel shape {kernel.shape} does not fit input")
-    return ad.reshape(kernel, (27, cin, kernel.shape[4]))
+                                          KERNEL_OFFSETS[taps], shape))
 
 
 def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
                        bias: ad.Tensor) -> SparseVoxelTensor:
     """3x3x3 sparse convolution whose output sites equal the input sites."""
-    k = _taps(kernel, t.num_channels)
     pairs = _conv_pairs(t, t.coords, stride=1)
-    out = ad.tap_matmul_scatter(t.features, k, pairs, len(t), bias)
+    out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(t), bias)
     return t.with_features(out)
 
 
@@ -210,7 +215,6 @@ def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
     """
     if any(s % stride for s in t.spatial_shape):
         raise ValueError(f"spatial_shape {t.spatial_shape} not divisible by {stride}")
-    k = _taps(kernel, t.num_channels)
     out_shape = tuple(s // stride for s in t.spatial_shape)
     if len(t):
         down = t.coords // stride
@@ -219,7 +223,7 @@ def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
     else:
         out_coords = np.empty((0, 3), dtype=np.int64)
     pairs = _conv_pairs(t, out_coords, stride=stride)
-    out = ad.tap_matmul_scatter(t.features, k, pairs, len(out_coords), bias)
+    out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(out_coords), bias)
     return SparseVoxelTensor(out_coords, out, out_shape)
 
 
@@ -230,12 +234,13 @@ def upsample_conv3d(coarse: SparseVoxelTensor, fine_coords: np.ndarray,
     fine-scale coordinates: fine[f] += K[t] . coarse[o] wherever 2o + t = f."""
     # built first so that out-of-grid or duplicate fine sites fail before the lookup
     fine = SparseVoxelTensor(fine_coords, np.zeros((len(fine_coords), 0)), fine_shape)
-    k = _taps(kernel, coarse.num_channels)
+    taps = live_taps(fine.spatial_shape, coarse.spatial_shape, 2)
     grid_shape = np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape))
-    key = ("up", coarse.spatial_shape, coarse._keys.tobytes(), fine.coords.tobytes())
-    pairs = _cached(key, lambda: _rulebook(2 * coarse.coords, fine.coords, -KERNEL_OFFSETS,
-                                           grid_shape))
-    out = ad.tap_matmul_scatter(coarse.features, k, pairs, len(fine), bias)
+    key = ("up", coarse.spatial_shape, fine.spatial_shape, coarse._keys.tobytes(),
+           fine.coords.tobytes())
+    pairs = _cached(key, lambda: _rulebook(2 * coarse.coords, fine.coords,
+                                           -KERNEL_OFFSETS[taps], grid_shape))
+    out = ad.tap_matmul_scatter(coarse.features, kernel, pairs, len(fine), bias)
     return fine.with_features(out)
 
 

@@ -15,8 +15,8 @@ from . import tasks
 from . import voxel as vx
 from .config import canonical_text, config_hash, load_config, parse_config_text
 from .cross_space import OffsetCollector
-from .data import (THING_SEMANTIC_OFFSET, SceneSample, augment, concat_frames,
-                   draw_augment_params, read_dataset)
+from .data import (NUM_CLASSES, THING_SEMANTIC_OFFSET, SceneSample, augment,
+                   concat_frames, draw_augment_params, read_dataset)
 from .model import EmptyFrameError, Model
 
 
@@ -244,7 +244,7 @@ def load_model(path, cfg: dict | None = None):
 def evaluate(model: Model, samples: list[SceneSample], cfg: dict) -> dict:
     """Point-level mIoU, voxel accuracy, center-distance mAP, and the
     fraction of ground-truth objects hit within one BEV cell."""
-    cm = np.zeros((6, 6), dtype=np.int64)
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     vox_correct = 0
     vox_total = 0
     ap_samples = []

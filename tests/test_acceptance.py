@@ -192,16 +192,18 @@ def test_criterion_2_sparse_conv_equivalence():
         cells = r.choice(w * h * d, size=n, replace=False)
         coords = np.column_stack([cells % w, (cells // w) % h, cells // (w * h)])
         t = sparse.SparseVoxelTensor(coords, r.normal(size=(n, cin)), (w, h, d))
-        kernel = ad.Tensor(r.normal(size=(3, 3, 3, cin, cout)))
+        kernel = ad.Tensor(r.normal(size=(27, cin, cout)))   # every tap lives on these grids
         bias = ad.Tensor(r.normal(size=cout))
         dense = np.zeros((w, h, d, cin))
         dense[coords[:, 0], coords[:, 1], coords[:, 2]] = t.features.data
         if i % 2 == 0:
             out = sparse.submanifold_conv3d(t, kernel, bias)
-            want = _dense_conv_shifted(dense, kernel.data, bias.data, stride=1)
+            want = _dense_conv_shifted(dense, kernel.data.reshape(3, 3, 3, cin, cout),
+                                       bias.data, stride=1)
         else:
             out = sparse.strided_conv3d(t, kernel, bias)
-            want = _dense_conv_shifted(dense, kernel.data, bias.data, stride=2)
+            want = _dense_conv_shifted(dense, kernel.data.reshape(3, 3, 3, cin, cout),
+                                       bias.data, stride=2)
         for row, (x, y, z) in enumerate(out.coords):
             worst = max(worst, np.abs(out.features.data[row] - want[x, y, z]).max())
     _report(2, "sparse-conv equivalence", worst < 1e-12,
@@ -229,7 +231,7 @@ def test_criterion_3_gradient_suite():
     # sparse convolutions
     coords = np.array([[1, 1, 1], [2, 1, 1], [3, 3, 2], [0, 0, 0]])
     t = sparse.SparseVoxelTensor(coords, ad.parameter(r.normal(size=(4, 2))), (4, 4, 4))
-    k3 = ad.parameter(r.normal(size=(3, 3, 3, 2, 3)))
+    k3 = ad.parameter(r.normal(size=(27, 2, 3)))
     b3 = ad.parameter(r.normal(size=3))
     w_sub = ad.constant(r.normal(size=(4, 3)))
     check_grads(lambda: ad.mul(sparse.submanifold_conv3d(t, k3, b3).features,
@@ -242,7 +244,7 @@ def test_criterion_3_gradient_suite():
     coarse = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 1]]),
                                       ad.parameter(r.normal(size=(2, 3))), (2, 2, 2))
     w_up = ad.constant(r.normal(size=(3, 2)))
-    k_up = ad.parameter(r.normal(size=(3, 3, 3, 3, 2)))
+    k_up = ad.parameter(r.normal(size=(27, 3, 2)))
     b_up = ad.parameter(r.normal(size=2))
     check_grads(lambda: ad.mul(sparse.upsample_conv3d(coarse, fine, (4, 4, 4),
                                                       k_up, b_up).features, w_up).sum(),

@@ -25,7 +25,7 @@ def test_encode_scale_shapes():
     r = rng(0)
     cfg = bb.BackboneConfig(base_channels=4)
     t = make_input(r, shape=(32, 32, 8), n=30)
-    enc = bb.init_encoder(cfg, 3, r)
+    enc = bb.init_encoder(cfg, 3, r, t.spatial_shape)
     scales = bb.encode(t, enc)
     assert [s.spatial_shape for s in scales] == [(32, 32, 8), (16, 16, 4), (8, 8, 2), (4, 4, 1)]
     assert [s.num_channels for s in scales] == [4, 8, 16, 16]
@@ -35,7 +35,7 @@ def test_encode_empty_input_gives_empty_scales():
     r = rng(1)
     cfg = small_cfg()
     t = sparse.SparseVoxelTensor(np.empty((0, 3)), np.empty((0, 3)), (8, 8, 8))
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r))
+    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
     assert [len(s) for s in scales] == [0, 0, 0, 0]
     assert scales[-1].spatial_shape == (1, 1, 1)
 
@@ -44,7 +44,7 @@ def test_encode_single_voxel_coordinate_propagation():
     r = rng(2)
     cfg = small_cfg()
     t = sparse.SparseVoxelTensor(np.array([[5, 3, 6]]), r.normal(size=(1, 3)), (8, 8, 8))
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r))
+    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
     # submanifold stages keep the site; strided stages halve its coordinates
     want = np.array([5, 3, 6])
     for s in scales:
@@ -57,9 +57,9 @@ def test_decoder_coords_equal_encoder_coords():
     r = rng(3)
     cfg = small_cfg()
     t = make_input(r, n=24)
-    enc = bb.init_encoder(cfg, 3, r)
+    enc = bb.init_encoder(cfg, 3, r, t.spatial_shape)
     scales = bb.encode(t, enc)
-    dec = bb.init_decoder(cfg, scales[3].num_channels, r)
+    dec = bb.init_decoder(cfg, scales[3].num_channels, r, t.spatial_shape)
     out = bb.decode(scales, scales[3], dec)
     np.testing.assert_array_equal(out.coords, scales[0].coords)
     np.testing.assert_array_equal(out.coords, t.coords)
@@ -70,7 +70,7 @@ def test_decoder_stage_coords_subset_of_encoder():
     r = rng(4)
     cfg = small_cfg()
     t = make_input(r, n=30)
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r))
+    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
     # the strided-map image of each finer scale covers the coarser scale
     for fine, coarse in zip(scales[:-1], scales[1:]):
         fine_keys = {tuple(c // 2) for c in fine.coords}
@@ -81,8 +81,8 @@ def test_decode_rejects_mismatched_injection():
     r = rng(5)
     cfg = small_cfg()
     t = make_input(r, n=10)
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r))
-    dec = bb.init_decoder(cfg, scales[3].num_channels, r)
+    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
+    dec = bb.init_decoder(cfg, scales[3].num_channels, r, t.spatial_shape)
     wrong = sparse.SparseVoxelTensor(np.empty((0, 3), dtype=int),
                                      np.empty((0, scales[3].num_channels)),
                                      scales[3].spatial_shape)
@@ -143,7 +143,7 @@ def test_bev_projection_roundtrip_identity_on_features():
     r = rng(10)
     cfg = small_cfg()
     t = make_input(r, n=16)
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r))
+    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
     bott = scales[3]
     dense = sparse.scatter_to_dense(bott)
     back = sparse.gather_from_dense(dense, bott.coords, bott.spatial_shape)
@@ -154,9 +154,9 @@ def test_whole_backbone_gradient_check():
     r = rng(11)
     cfg = bb.BackboneConfig(base_channels=8)
     t = make_input(r, shape=(8, 8, 8), n=12, cin=3)
-    enc = bb.init_encoder(cfg, 3, r)
+    enc = bb.init_encoder(cfg, 3, r, t.spatial_shape)
     scales_probe = bb.encode(t, enc)
-    dec = bb.init_decoder(cfg, scales_probe[3].num_channels, r)
+    dec = bb.init_decoder(cfg, scales_probe[3].num_channels, r, t.spatial_shape)
     w = ad.constant(r.normal(size=(len(t), cfg.base_channels)))
 
     def f():

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -205,6 +206,20 @@ def test_augment_flip_x_negates_y_and_yaw_membership_holds():
     want = out.labels == out.boxes[0].semantic_label
     # every point labeled as the box must still fall inside the flipped box
     assert (inside[want]).all()
+
+
+@pytest.mark.parametrize("yaw", [0.0, 0.7])
+def test_points_in_box_never_holds_a_non_finite_point_and_warns_nothing(yaw):
+    box = data.Box(center=(1.0, 2.0, 1.0), size=(2.0, 3.0, 2.0), yaw=yaw, class_id=1)
+    finite = np.random.default_rng(3).uniform(-1.0, 3.0, size=(40, 3))
+    bad = np.array([[np.nan, 2.0, 1.0], [np.inf, 2.0, 1.0], [1.0, -np.inf, 1.0],
+                    [1.0, 2.0, np.inf], [-np.inf, np.inf, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = data.points_in_box(finite, box)
+        got = data.points_in_box(np.concatenate([finite[:20], bad, finite[20:]]), box)
+    assert want.any() and not want.all()
+    np.testing.assert_array_equal(got, np.concatenate([want[:20], np.zeros(5, bool), want[20:]]))
 
 
 def test_augment_rotation_quarter_turn():

@@ -10,12 +10,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lidarmt
 from lidarmt import autodiff as ad
+from lidarmt import backbone as bb
 from lidarmt import checkpoint as ck
 from lidarmt import cli
 from lidarmt import config as cf
 from lidarmt import container as cx
 from lidarmt import data
 from lidarmt import metrics
+from lidarmt import params as pp
 from lidarmt import sparse
 from lidarmt import train as tr
 from lidarmt import voxel as vx
@@ -321,8 +323,7 @@ def degenerate_frames(draw):
     elif box_kind == "one_point":
         box = data.Box(center=r.uniform(lo + 1, hi - 1), size=(1.0, 1.0, 1.0), yaw=0.0,
                        class_id=int(r.integers(1, 5)))
-        with np.errstate(invalid="ignore"):   # a non-finite point is in no box
-            keep = ~data.points_in_box(xyz, box)
+        keep = ~data.points_in_box(xyz, box)
         xyz = np.concatenate([xyz[keep], box.center[None].astype(np.float64)])
         labels = np.append(labels[keep], box.semantic_label)
         boxes.append(box)
@@ -452,6 +453,96 @@ def test_checkpoint_with_wrong_parameter_shape_rejected(tmp_path):
     with pytest.raises(ValueError, match=r"hm_head\.bias has shape \(1,\), "
                                          r"model expects \(4,\)"):
         tr.load_model(tmp_path / "m.ckpt")
+
+
+def test_a_27_tap_kernel_of_an_old_checkpoint_is_refused_by_name():
+    cfg = cf.load_config()
+    values = {name: t.data for name, t in Model(cfg).parameters().items()}
+    assert values["encoder.stages.3.0.kernel"].shape == (9, 64, 64)
+    values["encoder.stages.3.0.kernel"] = np.zeros((3, 3, 3, 64, 64))
+    with pytest.raises(ValueError) as err:
+        Model(cfg, values)
+    assert err.type is ValueError
+    assert str(err.value) == ("checkpoint/model mismatch: encoder.stages.3.0.kernel has "
+                              "shape (3, 3, 3, 64, 64), model expects (9, 64, 64)")
+
+
+def analytic_taps(name: str, dims) -> int:
+    """Live taps of a backbone conv kernel, counted per axis: a submanifold
+    conv keeps 3 offsets on an axis of size >= 2 and 1 otherwise; a stride-2
+    conv and its upsample twin keep 3 where the coarse size is >= 2, else 2."""
+    _, kind, i, *_ = name.split(".")
+    level = {"stages": int(i), "downs": int(i), "ups": 2 - int(i), "fuses": 2 - int(i)}[kind]
+    if kind in ("stages", "fuses"):
+        return math.prod(3 if d >> level >= 2 else 1 for d in dims)
+    return math.prod(3 if d >> (level + 1) >= 2 else 2 for d in dims)
+
+
+@pytest.mark.parametrize("overrides,count", [
+    ({}, 2_182_159 - 221_184),
+    ({"scene.extent_min": (-16.0, -16.0, 0.0), "scene.extent_max": (16.0, 16.0, 4.0)},
+     2_188_303 - 221_184),
+], ids=["default", "infer-large"])
+def test_parameter_count_is_the_analytic_live_tap_count(overrides, count):
+    model = Model(cf.load_config(overrides=overrides))
+    params = model.parameters()
+    kernels = {n: t.data.shape for n, t in params.items() if n.endswith(".kernel")
+               and n.split(".")[0] in ("encoder", "decoder")}
+    assert len(kernels) == 17
+    want = sum(t.data.size for n, t in params.items() if n not in kernels)
+    want += sum(analytic_taps(n, model.grid.dims) * cin * cout
+                for n, (_t, cin, cout) in kernels.items())
+    assert sum(t.data.size for t in params.values()) == want == count
+
+
+def record_paired_taps(monkeypatch, named: dict) -> dict:
+    """Per kernel name, a mask of its taps that met at least one pair in any
+    sparse conv call made after this, for the kernels in `named`."""
+    names = {id(t): n for n, t in named.items()}
+    paired = {}
+    scatter = ad.tap_matmul_scatter
+
+    def recording(features, kernel, pairs, n_out, bias=None):
+        seen = np.array([p is None or len(p[0]) > 0 for p in pairs])
+        paired[names[id(kernel)]] = paired.get(names[id(kernel)], False) | seen
+        return scatter(features, kernel, pairs, n_out, bias)
+
+    monkeypatch.setattr(ad, "tap_matmul_scatter", recording)
+    return paired
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 8), (64, 64, 8)], ids=["default", "infer-large"])
+def test_every_kept_tap_pairs_on_a_full_grid(monkeypatch, dims):
+    r = rng(41)
+    cfg = bb.BackboneConfig(base_channels=2)
+    enc, dec = bb.init_encoder(cfg, 1, r, dims), bb.init_decoder(cfg, 8, r, dims)
+    paired = record_paired_taps(monkeypatch, {**pp.collect(enc, "encoder"),
+                                              **pp.collect(dec, "decoder")})
+    coords = sparse.unpack_coords(np.arange(math.prod(dims)), dims)
+    with ad.no_grad():
+        scales = bb.encode(sparse.SparseVoxelTensor(coords, np.ones((len(coords), 1)), dims),
+                           enc)
+        bb.decode(scales, scales[3], dec)
+    assert len(paired) == 17 and all(mask.all() for mask in paired.values())
+
+
+def test_every_kept_tap_pairs_on_the_train_revisit_scenes(monkeypatch):
+    """Except offset (-1, -1, 1) of the 1/4 -> 1/8 conv and its upsample twin.
+    It needs a 1/4-scale site at odd x and odd y in the upper height cell,
+    which these scenes never hold; the full-grid test above shows it pairs."""
+    cfg = cf.load_config()
+    model = Model(cfg)
+    params = model.parameters()
+    paired = record_paired_taps(monkeypatch, params)
+    spec = cli.scene_spec_from_config(cfg)
+    with ad.no_grad():
+        for j in range(8):
+            model.forward(data.generate_scene(1_000_003 + j, spec, frame_id=j))
+    assert len(paired) == 17
+    assert all(len(mask) == len(params[n].data) for n, mask in paired.items())
+    never = {(n, int(t)) for n, mask in paired.items() for t in np.nonzero(~mask)[0]}
+    corner = list(sparse.live_taps((8, 8, 2), (4, 4, 1), 2)).index(2)   # offset (-1, -1, 1)
+    assert never == {("encoder.downs.2.kernel", corner), ("decoder.ups.0.kernel", corner)}
 
 
 def test_load_model_draws_no_initial_values(tmp_path, monkeypatch):

@@ -25,6 +25,19 @@ def test_half_half_all_predicted_class1():
     assert mean == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("n,k", [(500, 6), (37, 4), (0, 6), (1, 6)])
+def test_confusion_matrix_matches_a_brute_force_count(n, k):
+    r = rng(40 + n)
+    gt, pred = r.integers(1, k + 1, size=n), r.integers(1, k + 1, size=n)
+    want = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            want[i, j] = np.sum((gt == i + 1) & (pred == j + 1))
+    cm = metrics.confusion_matrix(gt, pred, k=k)
+    assert cm.dtype == np.int64
+    np.testing.assert_array_equal(cm, want)
+
+
 @pytest.mark.parametrize("gt,pred", [([1, 0], [1, 2]), ([1, -1], [1, 2]),
                                      ([1, 2], [1, 7]), ([1, 2], [0, 2])])
 def test_confusion_matrix_rejects_labels_outside_classes(gt, pred):

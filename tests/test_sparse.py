@@ -16,7 +16,9 @@ def random_sparse(r, shape=(5, 5, 5), n=10, cin=3):
 
 
 def dense_conv_oracle(t, kernel, bias, stride=1):
-    """Zero-padded dense 3D correlation, evaluated on the full grid."""
+    """Zero-padded dense 3D correlation with a full (27, Cin, Cout) kernel,
+    evaluated on the full grid."""
+    kernel = kernel.reshape(3, 3, 3, *kernel.shape[1:])
     w, h, d = t.spatial_shape
     cin = t.num_channels
     cout = kernel.shape[-1]
@@ -43,8 +45,8 @@ def dense_conv_oracle(t, kernel, bias, stride=1):
 def test_identity_kernel_is_identity():
     r = rng(0)
     t = random_sparse(r, n=8, cin=4)
-    k = np.zeros((3, 3, 3, 4, 4))
-    k[1, 1, 1] = np.eye(4)
+    k = np.zeros((27, 4, 4))
+    k[13] = np.eye(4)
     out = sparse.submanifold_conv3d(t, ad.Tensor(k), ad.Tensor(np.zeros(4)))
     np.testing.assert_array_equal(out.coords, t.coords)
     np.testing.assert_allclose(out.features.data, t.features.data, atol=1e-15)
@@ -52,11 +54,11 @@ def test_identity_kernel_is_identity():
 
 def test_single_voxel_sees_only_center_tap():
     r = rng(1)
-    k = ad.Tensor(r.normal(size=(3, 3, 3, 3, 2)))
+    k = ad.Tensor(r.normal(size=(27, 3, 2)))
     b = ad.Tensor(r.normal(size=2))
     t = sparse.SparseVoxelTensor(np.array([[2, 2, 2]]), r.normal(size=(1, 3)), (5, 5, 5))
     out = sparse.submanifold_conv3d(t, k, b)
-    want = t.features.data[0] @ k.data[1, 1, 1] + b.data
+    want = t.features.data[0] @ k.data[13] + b.data
     np.testing.assert_allclose(out.features.data[0], want, atol=1e-12)
 
 
@@ -64,7 +66,7 @@ def test_single_voxel_sees_only_center_tap():
 def test_submanifold_matches_dense_oracle(seed):
     r = rng(seed)
     t = random_sparse(r, shape=(5, 5, 5), n=14, cin=3)
-    k = ad.Tensor(r.normal(size=(3, 3, 3, 3, 4)))
+    k = ad.Tensor(r.normal(size=(27, 3, 4)))
     b = ad.Tensor(r.normal(size=4))
     out = sparse.submanifold_conv3d(t, k, b)
     dense = dense_conv_oracle(t, k.data, b.data)
@@ -75,7 +77,7 @@ def test_submanifold_matches_dense_oracle(seed):
 def test_strided_single_voxel_coordinate_arithmetic():
     r = rng(5)
     t = sparse.SparseVoxelTensor(np.array([[4, 4, 2]]), r.normal(size=(1, 2)), (8, 8, 4))
-    k = ad.Tensor(r.normal(size=(3, 3, 3, 2, 2)))
+    k = ad.Tensor(r.normal(size=(27, 2, 2)))
     out = sparse.strided_conv3d(t, k, ad.Tensor(np.zeros(2)))
     np.testing.assert_array_equal(out.coords, [[2, 2, 1]])
     assert out.spatial_shape == (4, 4, 2)
@@ -85,7 +87,7 @@ def test_strided_merging_matches_dense_oracle():
     r = rng(6)
     coords = np.array([[2, 2, 2], [3, 3, 3], [0, 0, 0], [3, 2, 2]])
     t = sparse.SparseVoxelTensor(coords, r.normal(size=(4, 3)), (6, 6, 6))
-    k = ad.Tensor(r.normal(size=(3, 3, 3, 3, 2)))
+    k = ad.Tensor(r.normal(size=(27, 3, 2)))
     b = ad.Tensor(r.normal(size=2))
     out = sparse.strided_conv3d(t, k, b)
     assert out.spatial_shape == (3, 3, 3)
@@ -98,7 +100,7 @@ def test_strided_merging_matches_dense_oracle():
 
 def test_strided_empty_tensor_halves_shape():
     t = sparse.SparseVoxelTensor(np.empty((0, 3)), np.empty((0, 3)), (4, 4, 4))
-    out = sparse.strided_conv3d(t, ad.Tensor(np.zeros((3, 3, 3, 3, 2))),
+    out = sparse.strided_conv3d(t, ad.Tensor(np.zeros((27, 3, 2))),
                                 ad.Tensor(np.zeros(2)))
     assert len(out) == 0
     assert out.spatial_shape == (2, 2, 2)
@@ -107,14 +109,14 @@ def test_strided_empty_tensor_halves_shape():
 def test_strided_rejects_odd_shape():
     t = sparse.SparseVoxelTensor(np.array([[0, 0, 0]]), np.ones((1, 1)), (3, 4, 4))
     with pytest.raises(ValueError):
-        sparse.strided_conv3d(t, ad.Tensor(np.zeros((3, 3, 3, 1, 1))),
+        sparse.strided_conv3d(t, ad.Tensor(np.zeros((27, 1, 1))),
                               ad.Tensor(np.zeros(1)))
 
 
 def test_conv_gradients_match_finite_differences():
     r = rng(7)
     t = random_sparse(r, shape=(4, 4, 4), n=6, cin=2)
-    k = ad.parameter(r.normal(size=(3, 3, 3, 2, 3)))
+    k = ad.parameter(r.normal(size=(27, 2, 3)))
     b = ad.parameter(r.normal(size=3))
     w = ad.constant(r.normal(size=(len(t), 3)))
 
@@ -135,19 +137,18 @@ def test_upsample_conv_routes_and_grads():
     r = rng(8)
     coarse = random_sparse(r, shape=(2, 2, 2), n=3, cin=2)
     fine_coords = np.array([[0, 0, 0], [1, 0, 0], [2, 2, 2], [3, 3, 3]])
-    k = ad.parameter(r.normal(size=(3, 3, 3, 2, 2)))
+    k = ad.parameter(r.normal(size=(27, 2, 2)))
     b = ad.parameter(r.normal(size=2))
     out = sparse.upsample_conv3d(coarse, fine_coords, (4, 4, 4), k, b)
     np.testing.assert_array_equal(out.coords, fine_coords)
     # every fine site f receives coarse[o] iff 2o + t = f for some tap t
     for fi, f in enumerate(fine_coords):
         acc = b.data.copy()
-        for off in sparse.KERNEL_OFFSETS:
+        for tap, off in enumerate(sparse.KERNEL_OFFSETS):
             cand = f - off
             if (cand % 2 == 0).all():
                 rows, found = coarse.rows_of(cand // 2)
                 if found[0]:
-                    tap = tuple(off + 1)
                     acc = acc + coarse.features.data[rows[0]] @ k.data[tap]
         np.testing.assert_allclose(out.features.data[fi], acc, atol=1e-12)
     w = ad.constant(r.normal(size=(4, 2)))
@@ -301,6 +302,9 @@ def rulebook_cases():
         yield single, single.coords
     empty = sparse.SparseVoxelTensor(np.empty((0, 3)), np.empty((0, 2)), shape)
     yield empty, empty.coords
+    # two voxels high: the strided conv, its upsample twin and the coarse
+    # submanifold conv drop the taps that can never pair
+    yield face_sparse(r, (8, 4, 2), 20), face_sparse(r, (8, 4, 2), 12).coords
 
 
 def expand_marker(pairs, n):
@@ -319,8 +323,14 @@ def marked_taps(pairs):
     return [t for t, p in enumerate(pairs) if p is None]
 
 
+def live_part(want, taps):
+    """The reference rulebook at the live taps; every other tap has no pair."""
+    assert all(len(want[t][0]) == 0 for t in np.setdiff1d(np.arange(27), taps))
+    return [want[t] for t in taps]
+
+
 def assert_same_unique_pairs(got, want, n):
-    assert len(got) == len(want) == 27
+    assert len(got) == len(want)
     for (gin, gout), (win, wout) in zip(expand_marker(got, n), want):
         assert gin.dtype == win.dtype and gout.dtype == wout.dtype
         np.testing.assert_array_equal(gin, win)
@@ -332,41 +342,47 @@ def assert_same_unique_pairs(got, want, n):
 def up_rulebook(coarse, fine_coords, fine_shape):
     """The rulebook upsample_conv3d builds and caches for these sites."""
     sparse._RULEBOOK_CACHE.clear()
-    cin = coarse.num_channels
+    n_taps = len(sparse.live_taps(fine_shape, coarse.spatial_shape, 2))
     sparse.upsample_conv3d(coarse, fine_coords, fine_shape,
-                           ad.Tensor(np.zeros((3, 3, 3, cin, 1))), ad.Tensor(np.zeros(1)))
+                           ad.Tensor(np.zeros((n_taps, coarse.num_channels, 1))),
+                           ad.Tensor(np.zeros(1)))
     (key, (pairs, _size)), = sparse._RULEBOOK_CACHE.items()
     assert key[0] == "up"
     return pairs
 
 
 def test_rulebooks_match_rows_of_reference():
-    k = ad.Tensor(np.zeros((3, 3, 3, 2, 2)))
     b = ad.Tensor(np.zeros(2))
     for t, other in rulebook_cases():
         sparse._RULEBOOK_CACHE.clear()
-        sub = sparse._conv_pairs(t, t.coords, 1)
-        assert_same_unique_pairs(sub, rows_of_conv_pairs(t, t.coords, 1), len(t))
-        # the centre tap of a non-empty submanifold rulebook is the marker
-        assert marked_taps(sub) == ([13] if len(t) else [])
-        coarse = sparse.strided_conv3d(t, k, b)
+        shape = t.spatial_shape
+        coarse_shape = tuple(s // 2 for s in shape)
+        down_taps = sparse.live_taps(shape, coarse_shape, 2)
+        coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((len(down_taps), 2, 2))), b)
+        for src in (t, coarse):
+            taps = sparse.live_taps(src.spatial_shape, src.spatial_shape, 1)
+            sub = sparse._conv_pairs(src, src.coords, 1)
+            want = live_part(rows_of_conv_pairs(src, src.coords, 1), taps)
+            assert_same_unique_pairs(sub, want, len(src))
+            # the centre offset's tap of a non-empty submanifold rulebook is the marker
+            assert marked_taps(sub) == ([list(taps).index(13)] if len(src) else [])
         down = sparse._conv_pairs(t, coarse.coords, 2)
-        want = rows_of_conv_pairs(t, coarse.coords, 2)
+        want = live_part(rows_of_conv_pairs(t, coarse.coords, 2), down_taps)
         assert_same_unique_pairs(down, want, len(t))
         # elsewhere the marker stands exactly where the reference rows are the identity
         assert marked_taps(down) == identity_taps(want, len(t), len(coarse))
         # transposed conv onto the encoder's own fine sites, and onto an
         # unrelated fine coordinate set (coarse sites with no fine child)
         for fine_coords in (t.coords, other):
-            up = up_rulebook(coarse, fine_coords, t.spatial_shape)
-            want = rows_of_up_pairs(coarse, fine_coords)
+            up = up_rulebook(coarse, fine_coords, shape)
+            want = live_part(rows_of_up_pairs(coarse, fine_coords), down_taps)
             assert_same_unique_pairs(up, want, len(coarse))
             assert marked_taps(up) == identity_taps(want, len(coarse), len(fine_coords))
 
 
 def test_upsample_rejects_bad_fine_sites_before_lookup():
     coarse = sparse.SparseVoxelTensor(np.array([[1, 1, 1]]), np.ones((1, 2)), (2, 2, 2))
-    k = ad.Tensor(np.zeros((3, 3, 3, 2, 2)))
+    k = ad.Tensor(np.zeros((27, 2, 2)))
     b = ad.Tensor(np.zeros(2))
     for fine_coords in ([[0, 0, 9]], [[-1, 0, 0]], [[2, 2, 2], [2, 2, 2]]):
         with pytest.raises(sparse.CoordinateError):
@@ -389,7 +405,7 @@ def add_at_reference(feats, kernel, bias, pairs, n_out, g):
 def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
     r = rng(21)
     t = face_sparse(r, (6, 8, 4), 60, cin=3)
-    k = ad.Tensor(r.normal(size=(3, 3, 3, 3, 3)))
+    k = ad.Tensor(r.normal(size=(27, 3, 3)))
     coarse = sparse.strided_conv3d(t, k, ad.Tensor(np.zeros(3)))
     cases = [(t, sparse._conv_pairs(t, t.coords, 1), len(t)),
              (t, sparse._conv_pairs(t, coarse.coords, 2), len(coarse)),
@@ -441,9 +457,10 @@ def test_identity_tap_marker_matches_its_expanded_rows_byte_for_byte(cin, cout):
 def test_strided_and_upsample_reject_wrong_kernel_shapes(conv):
     r = rng(24)
     t = random_sparse(r, shape=(4, 4, 4), n=12, cin=2)
-    coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((3, 3, 3, 2, 2))),
+    coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((27, 2, 2))),
                                    ad.Tensor(np.zeros(2)))
-    for shape in ((3, 3, 3, 3, 2), (3, 3, 2, 2, 2), (27, 2, 2), (3, 3, 3, 2)):
+    # (3, 3, 3, 2, 2) is the full block, no longer a kernel layout
+    for shape in ((27, 3, 2), (26, 2, 2), (3, 3, 3, 2, 2), (27, 2), ()):
         kernel, bias = ad.Tensor(np.zeros(shape)), ad.Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="does not fit input"):
             if conv == "strided":
@@ -479,3 +496,72 @@ def test_rulebook_cache_stays_within_its_byte_budget(monkeypatch):
         order.remove(stalest)
         order.append(stalest)
     assert len(cache) < 60
+
+
+# -- live taps -------------------------------------------------------------------
+
+
+def test_live_taps_match_a_brute_force_pairing_search():
+    r = rng(25)
+    for _ in range(60):
+        stride = int(r.integers(1, 3))
+        out_shape = tuple(int(n) for n in r.integers(1, 4, size=3))
+        in_shape = out_shape if stride == 1 else tuple(2 * n for n in out_shape)
+        want = [t for t, off in enumerate(sparse.KERNEL_OFFSETS)
+                if all(any(0 <= stride * o + d < n_in for o in range(n_out))
+                       for d, n_in, n_out in zip(off, in_shape, out_shape))]
+        assert sparse.live_taps(in_shape, out_shape, stride).tolist() == want
+    assert len(sparse.live_taps((4, 4, 1), (4, 4, 1), 1)) == 9
+    assert len(sparse.live_taps((8, 8, 2), (4, 4, 1), 2)) == 18
+    assert len(sparse.live_taps((8, 8, 8), (4, 4, 4), 2)) == 27
+
+
+@pytest.mark.parametrize("seed", [26, 27])
+def test_convs_with_dropped_taps_equal_the_full_kernel_reference(seed):
+    """Only the live taps of a full random kernel reach any output."""
+    r = rng(seed)
+    t = face_sparse(r, (6, 4, 2), 16, cin=3)
+    full, full_c = r.normal(size=(27, 3, 2)), r.normal(size=(27, 2, 2))
+    b = ad.Tensor(r.normal(size=2))
+    coarse = sparse.strided_conv3d(
+        t, ad.Tensor(full[sparse.live_taps((6, 4, 2), (3, 2, 1), 2)]), b)
+    dense = dense_conv_oracle(t, full, b.data, stride=2)
+    for row, (x, y, z) in enumerate(coarse.coords):
+        np.testing.assert_allclose(coarse.features.data[row], dense[x, y, z], atol=1e-12)
+    # the coarse grid is one voxel high: a submanifold conv keeps 9 taps
+    sub = sparse.submanifold_conv3d(
+        coarse, ad.Tensor(full_c[sparse.live_taps((3, 2, 1), (3, 2, 1), 1)]), b)
+    dense = dense_conv_oracle(coarse, full_c, b.data)
+    for row, (x, y, z) in enumerate(sub.coords):
+        np.testing.assert_allclose(sub.features.data[row], dense[x, y, z], atol=1e-12)
+    up = sparse.upsample_conv3d(coarse, t.coords, t.spatial_shape,
+                                ad.Tensor(full_c[sparse.live_taps((6, 4, 2), (3, 2, 1), 2)]), b)
+    np.testing.assert_allclose(up.features.data, upsample_reference(coarse, t.coords, full_c, b.data),
+                               atol=1e-12)
+
+
+def upsample_reference(coarse, fine_coords, full, bias):
+    """fine[f] = bias + sum of coarse[o] @ full[t] over all 27 taps with 2o + off_t = f."""
+    out = np.tile(bias, (len(fine_coords), 1))
+    for fi, f in enumerate(fine_coords):
+        for tap, off in enumerate(sparse.KERNEL_OFFSETS):
+            cand = f - off
+            rows, found = coarse.rows_of(cand // 2)
+            if (cand % 2 == 0).all() and found[0]:
+                out[fi] += coarse.features.data[rows[0]] @ full[tap]
+    return out
+
+
+def test_upsample_rulebook_cache_tells_fine_grid_heights_apart():
+    r = rng(28)
+    coarse = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 0]]), r.normal(size=(2, 2)),
+                                      (2, 2, 1))
+    fine = np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]])
+    full, bias = r.normal(size=(27, 2, 3)), np.zeros(3)
+    sparse._RULEBOOK_CACHE.clear()
+    for fine_shape in ((4, 4, 2), (4, 4, 1)):   # 18 live taps, then 9
+        taps = sparse.live_taps(fine_shape, coarse.spatial_shape, 2)
+        out = sparse.upsample_conv3d(coarse, fine, fine_shape, ad.Tensor(full[taps]),
+                                     ad.Tensor(bias))
+        np.testing.assert_allclose(out.features.data,
+                                   upsample_reference(coarse, fine, full, bias), atol=1e-12)
