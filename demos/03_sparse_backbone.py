@@ -25,14 +25,14 @@ coords = np.column_stack([cells % 32, (cells // 32) % 32, cells // (32 * 32)])
 t = sparse.SparseVoxelTensor(coords, r.normal(size=(400, 8)), shape)
 print(f"input: {len(t)} voxels in {shape}, {t.num_channels} channels")
 
-cfg = bb.BackboneConfig(base_channels=8)
-enc = bb.init_encoder(cfg, 8, r, shape)
+widths = bb.stage_widths(8)                     # (C, 2C, 4C, 4C)
+enc = bb.init_encoder(widths, 8, r, shape)
 scales = bb.encode(t, enc)
 for i, s in enumerate(scales):
     print(f"  scale 1/{2**i}: shape {s.spatial_shape}, {len(s)} voxels, "
           f"{s.num_channels} channels")
 
-dec = bb.init_decoder(cfg, scales[3].num_channels, r, shape)
+dec = bb.init_decoder(widths, scales[3].num_channels, r, shape)
 out = bb.decode(scales, scales[3], dec)
 assert np.array_equal(out.coords, t.coords)
 print("decoder returns exactly the input coordinate set: ok")
@@ -48,10 +48,9 @@ rows = sparse.gather_from_dense(dense, bott.coords, bott.spatial_shape)
 assert np.array_equal(rows.data, bott.features.data)
 print("height collapse/expand and scatter/gather invert exactly: ok")
 
-# the 2D extractor is shape-preserving on the BEV map
-bev_map = sparse.DenseBEVMap(features=bev, n_heights=bott.spatial_shape[2])
-extracted = bb.bev_extract(bev_map, bb.init_bev_extractor(bev.shape[0], r))
-print(f"BEV extractor: {bev.shape} -> {extracted.features.shape}")
+# the 2D extractor is shape-preserving on the BEV map, a plain (D*C, H, W) tensor
+extracted = bb.bev_extract(bev, bb.init_bev_extractor(bev.shape[0], r))
+print(f"BEV extractor: {bev.shape} -> {extracted.shape}")
 
 # one dense-oracle spot check of a submanifold convolution
 k = ad.Tensor(r.normal(size=(27, 8, 4)))   # (taps, Cin, Cout): all 27 live at full resolution

@@ -52,7 +52,7 @@ t = sparse.SparseVoxelTensor(coords, r.normal(size=(9, 6)), (4, 4, 2))
 
 collector = xs.OffsetCollector()
 bev = xs.sparse_to_dense(t, params, collector)
-print(f"\nsparse ({len(t)} voxels) -> dense BEV {bev.features.shape}")
+print(f"\nsparse ({len(t)} voxels) -> dense (heights*C, H, W) BEV {bev.shape}")
 back = xs.dense_to_sparse(bev, coords, params, collector)
 print(f"dense -> sparse features {back.shape} at the {len(coords)} valid coords")
 

@@ -517,7 +517,7 @@ def upsample2x(x: Tensor) -> Tensor:
 
 
 def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
-                       bias: Tensor | None = None) -> Tensor:
+                       bias: Tensor) -> Tensor:
     """Core of sparse convolution: sum over kernel taps of gathered matmuls.
 
     `pairs[t] = (in_rows, out_rows)` routes features (M, Cin) through
@@ -528,8 +528,8 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
     operand order, with rows moved by ndarray.take, faster than fancy indexing.
     `pairs[t] = None` stands for in_rows = out_rows = arange(M), n_out == M: one
     GEMM over all rows added in place, the same bytes without the row traffic.
-    Bias, when given, is added to every output row (submanifold/strided conv
-    semantics: every active output site gets the bias exactly once).
+    Bias is added to every output row (submanifold/strided conv semantics:
+    every active output site gets the bias exactly once).
     """
     if kernel.data.ndim != 3 or kernel.data.shape[:2] != (len(pairs), features.data.shape[1]):
         raise ValueError(f"kernel shape {kernel.data.shape} does not fit input ({len(pairs)} taps)")
@@ -545,8 +545,7 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
             y = f.take(pair[0], axis=0) @ kernel.data[t]
             y += out.take(pair[1], axis=0)   # in place: one temporary fewer
             out[pair[1]] = y
-    if bias is not None:
-        out += bias.data
+    out += bias.data
 
     def vjp(g):
         gc = np.ascontiguousarray(g)
@@ -567,8 +566,6 @@ def tap_matmul_scatter(features: Tensor, kernel: Tensor, pairs, n_out: int,
                     gf[pair[0]] = y
             if gk is not None:
                 np.matmul((f if pair is None else f.take(pair[0], axis=0)).T, gslice, out=gk[t])
-        gb = g.sum(axis=0) if bias is not None else None
-        return (gf, gk, gb) if bias is not None else (gf, gk)
+        return gf, gk, g.sum(axis=0)
 
-    parents = (features, kernel) if bias is None else (features, kernel, bias)
-    return _make(out, parents, vjp)
+    return _make(out, (features, kernel, bias), vjp)

@@ -9,19 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .sparse import (DenseBEVMap, SparseVoxelTensor, CoordinateError, live_taps,
+from .sparse import (SparseVoxelTensor, CoordinateError, live_taps,
                      submanifold_conv3d, strided_conv3d, upsample_conv3d)
 
 
-@dataclass
-class BackboneConfig:
-    base_channels: int = 32
-
-    @property
-    def stage_widths(self) -> tuple:
-        """Four stages down to the 1/8 bottleneck."""
-        c = self.base_channels
-        return (c, 2 * c, 4 * c, 4 * c)
+def stage_widths(c: int) -> tuple:
+    """Widths of the four stages down to the 1/8 bottleneck, from base width c."""
+    return (c, 2 * c, 4 * c, 4 * c)
 
 
 @dataclass
@@ -85,10 +79,9 @@ class BevExtractorParams:
     fuse: Conv2dUnit
 
 
-def init_encoder(cfg: BackboneConfig, in_channels: int, rng: np.random.Generator,
+def init_encoder(widths: tuple, in_channels: int, rng: np.random.Generator,
                  shape: tuple) -> EncoderParams:
     p = EncoderParams()
-    widths = cfg.stage_widths
     shapes = [tuple(n >> s for n in shape) for s in range(4)]
     prev = in_channels
     for s, w in enumerate(widths):
@@ -99,10 +92,9 @@ def init_encoder(cfg: BackboneConfig, in_channels: int, rng: np.random.Generator
     return p
 
 
-def init_decoder(cfg: BackboneConfig, injected_channels: int, rng: np.random.Generator,
+def init_decoder(widths: tuple, injected_channels: int, rng: np.random.Generator,
                  shape: tuple) -> DecoderParams:
     p = DecoderParams()
-    widths = cfg.stage_widths
     shapes = [tuple(n >> s for n in shape) for s in range(4)]
     prev = injected_channels
     for lvl in (2, 1, 0):
@@ -166,9 +158,9 @@ def decode(scales: list[SparseVoxelTensor], injected: SparseVoxelTensor,
     return x
 
 
-def bev_extract(bev: DenseBEVMap, p: BevExtractorParams) -> DenseBEVMap:
-    """2-level down/up 2D pyramid with a skip concatenation; shape-preserving."""
-    x = bev.features
+def bev_extract(x: ad.Tensor, p: BevExtractorParams) -> ad.Tensor:
+    """2-level down/up 2D pyramid over a (C, H, W) map with a skip concatenation;
+    shape-preserving."""
     _c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError("BEV extent must be even for the 2-level pyramid")
@@ -176,8 +168,7 @@ def bev_extract(bev: DenseBEVMap, p: BevExtractorParams) -> DenseBEVMap:
     d = ad.relu(channel_norm(ad.conv2d(c1, p.down.weight, p.down.bias, stride=2)))
     d = ad.relu(channel_norm(ad.conv2d(d, p.mid.weight, p.mid.bias)))
     u = ad.relu(channel_norm(ad.conv2d(ad.upsample2x(d), p.up.weight, p.up.bias)))
-    fused = ad.conv2d(ad.concat([c1, u], axis=0), p.fuse.weight, p.fuse.bias)
-    return DenseBEVMap(features=fused, n_heights=bev.n_heights)
+    return ad.conv2d(ad.concat([c1, u], axis=0), p.fuse.weight, p.fuse.bias)
 
 
 def aux_seg_head(features: ad.Tensor, head: LinearUnit) -> ad.Tensor:

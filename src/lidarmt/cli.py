@@ -89,8 +89,6 @@ def cmd_infer(args) -> int:
 def cmd_inspect_offsets(args) -> int:
     cfg = cf.load_config(args.config) if args.config else None
     model, cfg, _data = tr.load_model(args.ckpt, cfg)
-    if not cfg["model.cross_space.enabled"]:
-        raise cf.ConfigError("cross-space attention disabled; no offsets to inspect")
     rows = tr.inspect_offsets(model, _sample_at(args.input, args.index), cfg,
                               args.quantile)
     with cx.atomic_write(args.out, "w") as f:

@@ -32,7 +32,6 @@ DEFAULTS = {
     "model.vfe_widths": ((16, 16, 32, 32),
                          "voxel feature encoder layer widths (paper: 64,128,256,256)"),
     "model.base_channels": (16, "backbone base channels C (stages C,2C,4C,4C)"),
-    "model.cross_space.enabled": (True, "attention-based sparse<->dense mapping"),
     "model.cross_space.heads": (4, "deformable attention heads"),
     "model.cross_space.head_dim_d2s": (64, "head width, dense-to-sparse direction"),
     "model.cross_space.head_dim_s2d": (32, "head width, sparse-to-dense direction"),

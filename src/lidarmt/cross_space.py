@@ -7,6 +7,10 @@ the height-sliced maps bilinearly at the offset locations, and mixes the
 per-head results through output projections. Dense-to-sparse reads a fixed
 dense map at the valid voxel coordinates; sparse-to-dense runs it as
 self-attention over all grid cells and re-collapses heights into a BEV map.
+These are the model's one path between the sparse voxel map and the dense
+BEV map, a plain (J*C, H, W) tensor in `sparse.height_collapse`'s layout.
+With no blocks they reduce to scatter/collapse (plus the positional
+embedding) and expand/gather.
 
 Blocks are pre-norm residual: x + attn(LN(x)), then x + ffn(LN(x)).
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .sparse import (DenseBEVMap, SparseVoxelTensor, height_expand, pack_coords,
+from .sparse import (SparseVoxelTensor, height_collapse, height_expand, pack_coords,
                      scatter_to_dense, unpack_coords)
 
 
@@ -170,6 +174,7 @@ class CrossSpaceParams:
     """Both directions: 2 stacked blocks each, plus the learned 2D positional
     embedding that seeds the dense-grid queries of sparse-to-dense."""
 
+    n_heights: int                    # height slices of the BEV maps both directions read
     d2s_blocks: list = field(default_factory=list)
     s2d_blocks: list = field(default_factory=list)
     pos_emb: ad.Tensor | None = None  # (H*W, C)
@@ -180,7 +185,7 @@ def init_cross_space(channels: int, grid_hw: tuple, n_heights: int,
                      head_dim_d2s: int = 64, head_dim_s2d: int = 32,
                      n_points: int = 4, ffn_hidden: int = 256,
                      n_blocks: int = 2) -> CrossSpaceParams:
-    p = CrossSpaceParams()
+    p = CrossSpaceParams(n_heights=n_heights)
     for _ in range(n_blocks):
         p.d2s_blocks.append(CrossSpaceBlock(
             attn=init_deform_attn(channels, n_heads, head_dim_d2s, n_points,
@@ -195,17 +200,16 @@ def init_cross_space(channels: int, grid_hw: tuple, n_heights: int,
     return p
 
 
-def dense_to_sparse(bev: DenseBEVMap, coords: np.ndarray, p: CrossSpaceParams,
+def dense_to_sparse(bev: ad.Tensor, coords: np.ndarray, p: CrossSpaceParams,
                     collector: OffsetCollector | None = None) -> ad.Tensor:
-    """Queries are the dense features at the valid (u, v, h) coordinates;
-    the fixed height-sliced map provides the sampled values."""
+    """Queries are the (J*C, H, W) BEV map's features at the valid (u, v, h)
+    coordinates; the fixed height-sliced map provides the sampled values."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    j = bev.n_heights
-    hgt, wid = bev.hw
-    if len(coords) and (coords[:, 0].max() >= wid or coords[:, 1].max() >= hgt
-                        or coords[:, 2].max() >= j):
+    hgt, wid = bev.data.shape[1:]
+    if len(coords) and ((coords < 0).any()
+                        or (coords >= (wid, hgt, p.n_heights)).any()):
         raise ValueError("valid coordinate outside the dense BEV extent")
-    dense3d = height_expand(bev.features, j)                 # (C, J, H, W)
+    dense3d = height_expand(bev, p.n_heights)                # (C, J, H, W)
     slices = ad.transpose(dense3d, (1, 2, 3, 0))             # (J, H, W, C)
     q = ad.gather(slices, (coords[:, 2], coords[:, 1], coords[:, 0]))
     refs = coords[:, :2].astype(np.float64)
@@ -218,9 +222,9 @@ def dense_to_sparse(bev: DenseBEVMap, coords: np.ndarray, p: CrossSpaceParams,
 
 
 def sparse_to_dense(t: SparseVoxelTensor, p: CrossSpaceParams,
-                    collector: OffsetCollector | None = None) -> DenseBEVMap:
+                    collector: OffsetCollector | None = None) -> ad.Tensor:
     """Densify, run deformable self-attention with every grid cell at every
-    height as a query, then collapse heights into the output BEV map."""
+    height as a query, then collapse heights into the (D*C, H, W) BEV map."""
     w, h, d = t.spatial_shape
     c = t.num_channels
     dense = scatter_to_dense(t)                              # (C, D, H, W)
@@ -235,6 +239,4 @@ def sparse_to_dense(t: SparseVoxelTensor, p: CrossSpaceParams,
         maps = ad.reshape(qn, (d, h, w, c))
         q = q + mh_deform_attn(qn, refs, maps, blk.attn, collector, meta)
         q = q + apply_ffn(ad.layer_norm(q), blk.ffn)
-    grid = ad.reshape(q, (d, h, w, c))
-    bev = ad.reshape(ad.transpose(grid, (0, 3, 1, 2)), (d * c, h, w))
-    return DenseBEVMap(features=bev, n_heights=d)
+    return height_collapse(ad.transpose(ad.reshape(q, (d, h, w, c)), (3, 0, 1, 2)))

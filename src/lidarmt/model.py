@@ -1,9 +1,10 @@
 """End-to-end model assembly.
 
 Forward wiring: voxel feature encoder -> sparse encoder -> sparse-to-dense
-attention (or direct scatter) -> 2D BEV extractor -> {detection heads,
-auxiliary seg head, dense-to-sparse attention (or direct gather) -> voxel
-decoder -> cross-task decoder -> dynamic-kernel segmentation logits}. The
+attention -> 2D BEV extractor -> {detection heads, auxiliary seg head,
+dense-to-sparse attention -> voxel decoder -> cross-task decoder ->
+dynamic-kernel segmentation logits}. Every BEV map between these stages is a
+plain (n_heights*C, H, W) tensor (`sparse.height_collapse`'s layout). The
 center branch proposes queries from heatmap peaks and writes refined
 score/box residuals back into the dense detection maps at its cells.
 """
@@ -61,15 +62,15 @@ class Model:
         self.hw_bev = (h // DOWNSAMPLE, w // DOWNSAMPLE)
         self.n_heights = d // DOWNSAMPLE
         c = cfg["model.base_channels"]
-        self.bcfg = bb.BackboneConfig(base_channels=c)
-        bottleneck = self.bcfg.stage_widths[3]
+        widths = bb.stage_widths(c)
+        bottleneck = widths[3]
         self.bev_channels = bottleneck * self.n_heights
 
         # with `values`, `normal` gives zeros: allocated, but no page is touched
         rng = np.random.default_rng(cfg["model.seed"]) if values is None else \
             SimpleNamespace(normal=lambda loc=0.0, scale=1.0, size=None: np.zeros(size))
         self.vfe = vx.init_vfe_params(11, list(cfg["model.vfe_widths"]), rng, out_dim=c)
-        self.encoder = bb.init_encoder(self.bcfg, c, rng, self.grid.dims)
+        self.encoder = bb.init_encoder(widths, c, rng, self.grid.dims)
         self.cross_space = xsp.init_cross_space(
             bottleneck, self.hw_bev, self.n_heights, rng,
             n_heads=cfg["model.cross_space.heads"],
@@ -78,13 +79,13 @@ class Model:
             n_points=cfg["model.cross_space.points"],
             ffn_hidden=cfg["model.cross_space.ffn"],
             n_blocks=cfg["model.cross_space.blocks"],
-        ) if cfg["model.cross_space.enabled"] else None
+        )
         self.bev_extractor = bb.init_bev_extractor(self.bev_channels, rng)
         self.hm_head = bb.conv2d_unit(rng, self.bev_channels, NUM_THING)
         self.hm_head.bias.data[:] = -2.19  # start near sigmoid ~ 0.1
         self.reg_head = bb.conv2d_unit(rng, self.bev_channels, REG_CHANNELS)
         self.aux_head = bb.linear_unit(rng, self.bev_channels, NUM_CLASSES)
-        self.decoder = bb.init_decoder(self.bcfg, bottleneck, rng, self.grid.dims)
+        self.decoder = bb.init_decoder(widths, bottleneck, rng, self.grid.dims)
         if cfg["model.cross_task.enabled"]:
             self.cross_task = xtk.init_cross_task(
                 cfg["model.cross_task.width"], voxel_dim=c,
@@ -130,9 +131,7 @@ class Model:
         reg = {"vfe": self.vfe, "encoder": self.encoder, "decoder": self.decoder,
                "bev_extractor": self.bev_extractor, "hm_head": self.hm_head,
                "reg_head": self.reg_head, "aux_head": self.aux_head,
-               "loss_weights": self.loss_weights}
-        if self.cross_space is not None:
-            reg["cross_space"] = self.cross_space
+               "loss_weights": self.loss_weights, "cross_space": self.cross_space}
         if self.cross_task is not None:
             reg["cross_task"] = self.cross_task
             reg["center_score"] = self.center_score
@@ -152,22 +151,6 @@ class Model:
     def voxelize(self, sample: SceneSample) -> vx.VoxelizedFrame:
         return vx.group_and_vote(sample.xyz, sample.labels, self.grid)
 
-    def bev_from_bottleneck(self, bottleneck: sparse.SparseVoxelTensor,
-                            collector=None) -> sparse.DenseBEVMap:
-        if self.cross_space is not None:
-            return xsp.sparse_to_dense(bottleneck, self.cross_space, collector)
-        dense = sparse.scatter_to_dense(bottleneck)
-        return sparse.DenseBEVMap(features=sparse.height_collapse(dense),
-                                  n_heights=self.n_heights)
-
-    def inject_from_bev(self, bev: sparse.DenseBEVMap, coords: np.ndarray,
-                        collector=None) -> ad.Tensor:
-        if self.cross_space is not None:
-            return xsp.dense_to_sparse(bev, coords, self.cross_space, collector)
-        dense = sparse.height_expand(bev.features, self.n_heights)
-        return sparse.gather_from_dense(dense, coords,
-                                        (bev.hw[1], bev.hw[0], self.n_heights))
-
     def forward(self, sample: SceneSample, collector=None) -> ForwardOut:
         frame = self.voxelize(sample)
         if not frame.num_voxels:
@@ -179,19 +162,18 @@ class Model:
         scales = bb.encode(full, self.encoder)
         bottleneck = scales[3]
 
-        bev_in = self.bev_from_bottleneck(bottleneck, collector)
-        bev = bb.bev_extract(bev_in, self.bev_extractor)
+        bev = bb.bev_extract(xsp.sparse_to_dense(bottleneck, self.cross_space, collector),
+                             self.bev_extractor)
         hb, wb = self.hw_bev
-        bev_rows = ad.reshape(ad.transpose(bev.features, (1, 2, 0)),
-                              (hb * wb, self.bev_channels))
+        bev_rows = ad.reshape(ad.transpose(bev, (1, 2, 0)), (hb * wb, self.bev_channels))
 
-        hm_logits = ad.conv2d(bev.features, self.hm_head.weight, self.hm_head.bias)
-        reg_map = ad.conv2d(bev.features, self.reg_head.weight, self.reg_head.bias)
+        hm_logits = ad.conv2d(bev, self.hm_head.weight, self.hm_head.bias)
+        reg_map = ad.conv2d(bev, self.reg_head.weight, self.reg_head.bias)
 
         cells = np.unique(bottleneck.coords[:, :2], axis=0)    # the aux loss sums in this order
         cell_rows = sparse.pack_coords(cells, (wb, hb))
 
-        injected = self.inject_from_bev(bev, bottleneck.coords, collector)
+        injected = xsp.dense_to_sparse(bev, bottleneck.coords, self.cross_space, collector)
         injected_t = bottleneck.with_features(injected)
         decoded = bb.decode(scales, injected_t, self.decoder)
 

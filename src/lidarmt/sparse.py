@@ -14,11 +14,13 @@ the sorted keys) remains for ad-hoc queries.
 Convolutions are cross-correlations, out[p] = sum_t K[t] . in[p + off_t], with a
 (T, Cin, Cout) kernel over the T live taps (`live_taps`): the offsets in {-1, 0, 1}^3
 that pair some in-grid input site with some in-grid output site on every axis.
+
+A BEV map is a plain (D*C, H, W) tensor whose channel block j is height slice j;
+`height_collapse` and `height_expand` alone own that layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -125,24 +127,6 @@ class SparseVoxelTensor:
             features = ad.Tensor(features)
         out.features = features
         return out
-
-
-@dataclass
-class DenseBEVMap:
-    """Height-collapsed 2D feature grid; channels are height-major blocks."""
-
-    features: ad.Tensor          # (C * n_heights, H, W)
-    n_heights: int
-
-    def __post_init__(self):
-        if not isinstance(self.features, ad.Tensor):
-            self.features = ad.Tensor(self.features)
-        if self.features.data.shape[0] % self.n_heights:
-            raise ValueError("channel count not divisible by n_heights")
-
-    @property
-    def hw(self) -> tuple:
-        return self.features.data.shape[1:]
 
 
 # Rulebooks depend only on coordinate geometry, which repeats every time the

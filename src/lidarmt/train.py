@@ -13,7 +13,7 @@ from . import checkpoint as ck
 from . import metrics as mx
 from . import tasks
 from . import voxel as vx
-from .config import canonical_text, config_hash, load_config, parse_config_text
+from .config import ConfigError, canonical_text, config_hash, load_config, parse_config_text
 from .cross_space import OffsetCollector
 from .data import (NUM_CLASSES, THING_SEMANTIC_OFFSET, SceneSample, augment,
                    concat_frames, draw_augment_params, read_dataset)
@@ -99,7 +99,7 @@ class AdamW:
                 p.data[...] = data
 
 
-def compute_losses(model: Model, out, sample: SceneSample) -> dict:
+def compute_losses(out, sample: SceneSample) -> dict:
     hm_t, reg_t, mask = tasks.make_detection_targets(sample.boxes, out.geometry)
     seg = tasks.ce_loss(out.seg_logits, out.frame.voxel_labels) \
         + tasks.lovasz_softmax(ad.softmax(out.seg_logits, axis=-1),
@@ -158,6 +158,9 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
     Deterministic given config and data: scenes are visited round-robin and
     all randomness flows from named seeds.
     """
+    for key in ("train.steps", "train.log_every"):
+        if int(cfg[key]) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if samples is None:
         samples = read_dataset(dataset_path if dataset_path is not None
                                else cfg["data.path"])
@@ -176,7 +179,7 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
             sample = samples[step % len(samples)]
             view = training_view(sample, cfg, step, cfg["train.seed"])
             out = model.forward(view)
-            losses = compute_losses(model, out, view)
+            losses = compute_losses(out, view)
             total = tasks.uncertainty_combine(losses, model.loss_weights)
             value = float(total.data)
             if not math.isfinite(value):

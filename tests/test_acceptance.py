@@ -252,12 +252,10 @@ def test_criterion_3_gradient_suite():
 
     # BEV extractor
     bevp = bb.init_bev_extractor(2, r)
-    bev_map = sparse.DenseBEVMap(features=ad.parameter(r.normal(size=(2, 4, 4))),
-                                 n_heights=1)
+    bev_map = ad.parameter(r.normal(size=(2, 4, 4)))
     w_bev = ad.constant(r.normal(size=(2, 4, 4)))
-    check_grads_sampled(lambda: ad.mul(bb.bev_extract(bev_map, bevp).features,
-                                       w_bev).sum(),
-                        [bev_map.features] + [x for _, x in pp.named_tensors(bevp)],
+    check_grads_sampled(lambda: ad.mul(bb.bev_extract(bev_map, bevp), w_bev).sum(),
+                        [bev_map] + [x for _, x in pp.named_tensors(bevp)],
                         n_per_tensor=3, rtol=1e-4, seed=31)
 
     # deformable attention block (away from bilinear kinks)
@@ -337,7 +335,7 @@ def test_criterion_3_gradient_suite():
 
     def f_end():
         out = model.forward(scene)
-        losses = tr.compute_losses(model, out, scene)
+        losses = tr.compute_losses(out, scene)
         return tasks.uncertainty_combine(losses, model.loss_weights)
 
     n_vox = model.voxelize(scene).num_voxels

@@ -409,7 +409,7 @@ def test_default_training_forward_records_at_most_500_nodes(monkeypatch):
     make = ad._make
     monkeypatch.setattr(ad, "_make", lambda *a: recorded.append(make(*a)) or recorded[-1])
     out = model.forward(scene)
-    total = tasks.uncertainty_combine(tr.compute_losses(model, out, scene), model.loss_weights)
+    total = tasks.uncertainty_combine(tr.compute_losses(out, scene), model.loss_weights)
     taped = {id(t) for t in recorded if t._vjp is not None}
     reached, stack = set(), [total]
     while stack:

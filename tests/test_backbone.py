@@ -17,15 +17,11 @@ def make_input(r, shape=(8, 8, 8), n=20, cin=3):
                                     shape)
 
 
-def small_cfg(c=4):
-    return bb.BackboneConfig(base_channels=c)
-
-
 def test_encode_scale_shapes():
     r = rng(0)
-    cfg = bb.BackboneConfig(base_channels=4)
+    widths = bb.stage_widths(4)
     t = make_input(r, shape=(32, 32, 8), n=30)
-    enc = bb.init_encoder(cfg, 3, r, t.spatial_shape)
+    enc = bb.init_encoder(widths, 3, r, t.spatial_shape)
     scales = bb.encode(t, enc)
     assert [s.spatial_shape for s in scales] == [(32, 32, 8), (16, 16, 4), (8, 8, 2), (4, 4, 1)]
     assert [s.num_channels for s in scales] == [4, 8, 16, 16]
@@ -33,18 +29,18 @@ def test_encode_scale_shapes():
 
 def test_encode_empty_input_gives_empty_scales():
     r = rng(1)
-    cfg = small_cfg()
+    widths = bb.stage_widths(4)
     t = sparse.SparseVoxelTensor(np.empty((0, 3)), np.empty((0, 3)), (8, 8, 8))
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
+    scales = bb.encode(t, bb.init_encoder(widths, 3, r, t.spatial_shape))
     assert [len(s) for s in scales] == [0, 0, 0, 0]
     assert scales[-1].spatial_shape == (1, 1, 1)
 
 
 def test_encode_single_voxel_coordinate_propagation():
     r = rng(2)
-    cfg = small_cfg()
+    widths = bb.stage_widths(4)
     t = sparse.SparseVoxelTensor(np.array([[5, 3, 6]]), r.normal(size=(1, 3)), (8, 8, 8))
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
+    scales = bb.encode(t, bb.init_encoder(widths, 3, r, t.spatial_shape))
     # submanifold stages keep the site; strided stages halve its coordinates
     want = np.array([5, 3, 6])
     for s in scales:
@@ -55,22 +51,22 @@ def test_encode_single_voxel_coordinate_propagation():
 
 def test_decoder_coords_equal_encoder_coords():
     r = rng(3)
-    cfg = small_cfg()
+    widths = bb.stage_widths(4)
     t = make_input(r, n=24)
-    enc = bb.init_encoder(cfg, 3, r, t.spatial_shape)
+    enc = bb.init_encoder(widths, 3, r, t.spatial_shape)
     scales = bb.encode(t, enc)
-    dec = bb.init_decoder(cfg, scales[3].num_channels, r, t.spatial_shape)
+    dec = bb.init_decoder(widths, scales[3].num_channels, r, t.spatial_shape)
     out = bb.decode(scales, scales[3], dec)
     np.testing.assert_array_equal(out.coords, scales[0].coords)
     np.testing.assert_array_equal(out.coords, t.coords)
-    assert out.num_channels == cfg.base_channels
+    assert out.num_channels == widths[0]
 
 
 def test_decoder_stage_coords_subset_of_encoder():
     r = rng(4)
-    cfg = small_cfg()
+    widths = bb.stage_widths(4)
     t = make_input(r, n=30)
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
+    scales = bb.encode(t, bb.init_encoder(widths, 3, r, t.spatial_shape))
     # the strided-map image of each finer scale covers the coarser scale
     for fine, coarse in zip(scales[:-1], scales[1:]):
         fine_keys = {tuple(c // 2) for c in fine.coords}
@@ -79,10 +75,10 @@ def test_decoder_stage_coords_subset_of_encoder():
 
 def test_decode_rejects_mismatched_injection():
     r = rng(5)
-    cfg = small_cfg()
+    widths = bb.stage_widths(4)
     t = make_input(r, n=10)
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
-    dec = bb.init_decoder(cfg, scales[3].num_channels, r, t.spatial_shape)
+    scales = bb.encode(t, bb.init_encoder(widths, 3, r, t.spatial_shape))
+    dec = bb.init_decoder(widths, scales[3].num_channels, r, t.spatial_shape)
     wrong = sparse.SparseVoxelTensor(np.empty((0, 3), dtype=int),
                                      np.empty((0, scales[3].num_channels)),
                                      scales[3].spatial_shape)
@@ -94,24 +90,23 @@ def test_decode_rejects_mismatched_injection():
 def test_bev_extract_preserves_shape_and_zero_case():
     r = rng(6)
     p = bb.init_bev_extractor(4, r)
-    bev = sparse.DenseBEVMap(features=ad.Tensor(r.normal(size=(4, 6, 6))), n_heights=1)
-    out = bb.bev_extract(bev, p)
-    assert out.features.data.shape == (4, 6, 6)
+    out = bb.bev_extract(ad.Tensor(r.normal(size=(4, 6, 6))), p)
+    assert out.data.shape == (4, 6, 6)
     for unit in (p.pre, p.down, p.mid, p.up, p.fuse):
         unit.bias.data[:] = 0.0
-    zero = sparse.DenseBEVMap(features=ad.Tensor(np.zeros((4, 6, 6))), n_heights=1)
-    np.testing.assert_allclose(bb.bev_extract(zero, p).features.data, 0.0, atol=1e-12)
+    zero = ad.Tensor(np.zeros((4, 6, 6)))
+    np.testing.assert_allclose(bb.bev_extract(zero, p).data, 0.0, atol=1e-12)
 
 
 def test_bev_extract_gradients():
     r = rng(7)
     p = bb.init_bev_extractor(2, r)
-    bev = sparse.DenseBEVMap(features=ad.parameter(r.normal(size=(2, 4, 4))), n_heights=1)
+    bev = ad.parameter(r.normal(size=(2, 4, 4)))
     w = ad.constant(r.normal(size=(2, 4, 4)))
-    tensors = [bev.features] + [t for _, t in pp.named_tensors(p)]
+    tensors = [bev] + [t for _, t in pp.named_tensors(p)]
 
     def f():
-        return ad.mul(bb.bev_extract(bev, p).features, w).sum()
+        return ad.mul(bb.bev_extract(bev, p), w).sum()
 
     check_grads_sampled(f, tensors, n_per_tensor=3, rtol=1e-4)
 
@@ -141,9 +136,9 @@ def test_aux_head_softmax_rows_sum_to_one():
 
 def test_bev_projection_roundtrip_identity_on_features():
     r = rng(10)
-    cfg = small_cfg()
+    widths = bb.stage_widths(4)
     t = make_input(r, n=16)
-    scales = bb.encode(t, bb.init_encoder(cfg, 3, r, t.spatial_shape))
+    scales = bb.encode(t, bb.init_encoder(widths, 3, r, t.spatial_shape))
     bott = scales[3]
     dense = sparse.scatter_to_dense(bott)
     back = sparse.gather_from_dense(dense, bott.coords, bott.spatial_shape)
@@ -152,12 +147,12 @@ def test_bev_projection_roundtrip_identity_on_features():
 
 def test_whole_backbone_gradient_check():
     r = rng(11)
-    cfg = bb.BackboneConfig(base_channels=8)
+    widths = bb.stage_widths(8)
     t = make_input(r, shape=(8, 8, 8), n=12, cin=3)
-    enc = bb.init_encoder(cfg, 3, r, t.spatial_shape)
+    enc = bb.init_encoder(widths, 3, r, t.spatial_shape)
     scales_probe = bb.encode(t, enc)
-    dec = bb.init_decoder(cfg, scales_probe[3].num_channels, r, t.spatial_shape)
-    w = ad.constant(r.normal(size=(len(t), cfg.base_channels)))
+    dec = bb.init_decoder(widths, scales_probe[3].num_channels, r, t.spatial_shape)
+    w = ad.constant(r.normal(size=(len(t), widths[0])))
 
     def f():
         scales = bb.encode(t, enc)

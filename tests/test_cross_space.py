@@ -191,10 +191,10 @@ def test_dense_to_sparse_identity_when_residual_branches_zeroed():
         blk.attn.out_w.data[:] = 0.0
         blk.ffn.w2.data[:] = 0.0
         blk.ffn.b2.data[:] = 0.0
-    bev = sparse.DenseBEVMap(features=ad.Tensor(r.normal(size=(12, 4, 4))), n_heights=2)
+    bev = ad.Tensor(r.normal(size=(12, 4, 4)))
     coords = np.array([[0, 1, 0], [3, 2, 1], [1, 1, 1]])
     out = xs.dense_to_sparse(bev, coords, p)
-    dense3d = bev.features.data.reshape(2, 6, 4, 4)
+    dense3d = bev.data.reshape(2, 6, 4, 4)
     for k, (u, v, h) in enumerate(coords):
         np.testing.assert_allclose(out.data[k], dense3d[h, :, v, u], atol=1e-12)
 
@@ -202,7 +202,7 @@ def test_dense_to_sparse_identity_when_residual_branches_zeroed():
 def test_dense_to_sparse_row_count_contract():
     r = rng(8)
     p = _small_stack(r)
-    bev = sparse.DenseBEVMap(features=ad.Tensor(r.normal(size=(12, 4, 4))), n_heights=2)
+    bev = ad.Tensor(r.normal(size=(12, 4, 4)))
     coords = np.array([[0, 0, 0], [1, 2, 1], [2, 3, 0], [3, 3, 1], [2, 2, 0]])
     out = xs.dense_to_sparse(bev, coords, p)
     assert out.data.shape == (5, 6)
@@ -213,22 +213,23 @@ def test_dense_to_sparse_locality_at_zero_offsets():
     p = _small_stack(r, grid=(8, 8))
     feats = r.normal(size=(12, 8, 8))
     coords = np.array([[4, 4, 0]])
-    out1 = xs.dense_to_sparse(sparse.DenseBEVMap(ad.Tensor(feats), 2), coords, p)
+    out1 = xs.dense_to_sparse(ad.Tensor(feats), coords, p)
     far = feats.copy()
     for v in range(8):
         for u in range(8):
             if max(abs(u - 4), abs(v - 4)) > 2:
                 far[:, v, u] = 0.0
-    out2 = xs.dense_to_sparse(sparse.DenseBEVMap(ad.Tensor(far), 2), coords, p)
+    out2 = xs.dense_to_sparse(ad.Tensor(far), coords, p)
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
 
 def test_dense_to_sparse_rejects_out_of_range_coordinate():
     r = rng(10)
     p = _small_stack(r)
-    bev = sparse.DenseBEVMap(features=ad.Tensor(r.normal(size=(12, 4, 4))), n_heights=2)
-    with pytest.raises(ValueError):
-        xs.dense_to_sparse(bev, np.array([[4, 0, 0]]), p)
+    bev = ad.Tensor(r.normal(size=(12, 4, 4)))
+    for coord in ([4, 0, 0], [0, 4, 0], [0, 0, 2], [-1, 0, 0], [0, -1, 0], [0, 0, -1]):
+        with pytest.raises(ValueError, match="outside the dense BEV extent"):
+            xs.dense_to_sparse(bev, np.array([[0, 0, 0], coord]), p)
 
 
 def test_sparse_to_dense_empty_input_zero_biases_gives_zero_map():
@@ -237,8 +238,8 @@ def test_sparse_to_dense_empty_input_zero_biases_gives_zero_map():
     p.pos_emb.data[:] = 0.0
     t = sparse.SparseVoxelTensor(np.empty((0, 3)), np.empty((0, 6)), (4, 4, 2))
     out = xs.sparse_to_dense(t, p)
-    np.testing.assert_allclose(out.features.data, 0.0, atol=1e-12)
-    assert out.features.data.shape == (12, 4, 4)
+    np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+    assert out.data.shape == (12, 4, 4)
 
 
 def test_sparse_to_dense_shape_contract():
@@ -247,8 +248,8 @@ def test_sparse_to_dense_shape_contract():
     t = sparse.SparseVoxelTensor(np.array([[1, 2, 0], [3, 0, 1]]),
                                  r.normal(size=(2, 6)), (4, 4, 2))
     out = xs.sparse_to_dense(t, p)
-    assert out.features.data.shape == (2 * 6, 4, 4)
-    assert out.n_heights == 2
+    assert out.data.shape == (2 * 6, 4, 4)
+    assert p.n_heights == 2
 
 
 def test_cross_space_block_gradients():
@@ -266,7 +267,7 @@ def test_cross_space_block_gradients():
     tensors = [t.features] + [x for _, x in pp.named_tensors(p.s2d_blocks)] + [p.pos_emb]
 
     def f():
-        return ad.mul(xs.sparse_to_dense(t, p).features, w).sum()
+        return ad.mul(xs.sparse_to_dense(t, p), w).sum()
 
     check_grads_sampled(f, tensors, n_per_tensor=3, rtol=1e-4, seed=3)
 
@@ -274,7 +275,7 @@ def test_cross_space_block_gradients():
 def test_offset_collector_counts_and_finiteness():
     r = rng(14)
     p = _small_stack(r)
-    bev = sparse.DenseBEVMap(features=ad.Tensor(r.normal(size=(12, 4, 4))), n_heights=2)
+    bev = ad.Tensor(r.normal(size=(12, 4, 4)))
     coords = np.array([[0, 0, 0], [1, 2, 1], [3, 3, 1]])
     col = xs.OffsetCollector()
     xs.dense_to_sparse(bev, coords, p, collector=col)

@@ -60,7 +60,7 @@ def golden_run() -> dict:
         if step == 0:
             record = {"seg_logits": out.seg_logits.data, "heatmap": out.heatmap.data,
                       "reg_map": out.reg_map.data}
-        total = tasks.uncertainty_combine(tr.compute_losses(model, out, scene),
+        total = tasks.uncertainty_combine(tr.compute_losses(out, scene),
                                           model.loss_weights)
         losses.append(float(total.data))
         opt.zero_grad()

@@ -188,29 +188,6 @@ def test_forward_deterministic():
     np.testing.assert_array_equal(a.heatmap.data, b.heatmap.data)
 
 
-def test_disabled_cross_space_is_direct_scatter_gather():
-    samples, _ = tiny_scenes(1)
-    cfg = tiny_cfg(**{"model.cross_space.enabled": False})
-    model = Model(cfg)
-    frame = model.voxelize(samples[0])
-    feats = __import__("lidarmt.voxel", fromlist=["voxel_feature_encode"]) \
-        .voxel_feature_encode(frame, samples[0].points[frame.kept].astype(np.float64),
-                              model.vfe)
-    from lidarmt import backbone as bb
-    full = sparse.SparseVoxelTensor(frame.indices, feats, model.grid.dims)
-    scales = bb.encode(full, model.encoder)
-    bott = scales[3]
-    got = model.bev_from_bottleneck(bott)
-    want = sparse.height_collapse(sparse.scatter_to_dense(bott))
-    np.testing.assert_array_equal(got.features.data, want.data)
-    bev = bb.bev_extract(got, model.bev_extractor)
-    injected = model.inject_from_bev(bev, bott.coords)
-    dense = sparse.height_expand(bev.features, model.n_heights)
-    manual = sparse.gather_from_dense(dense, bott.coords,
-                                      (bev.hw[1], bev.hw[0], model.n_heights))
-    np.testing.assert_array_equal(injected.data, manual.data)
-
-
 def test_multi_frame_changes_only_timestamps_and_count():
     samples, _ = tiny_scenes(1)
     cfg = tiny_cfg(**{"frames.history": 1})
@@ -502,7 +479,7 @@ def record_paired_taps(monkeypatch, named: dict) -> dict:
     paired = {}
     scatter = ad.tap_matmul_scatter
 
-    def recording(features, kernel, pairs, n_out, bias=None):
+    def recording(features, kernel, pairs, n_out, bias):
         seen = np.array([p is None or len(p[0]) > 0 for p in pairs])
         paired[names[id(kernel)]] = paired.get(names[id(kernel)], False) | seen
         return scatter(features, kernel, pairs, n_out, bias)
@@ -514,8 +491,8 @@ def record_paired_taps(monkeypatch, named: dict) -> dict:
 @pytest.mark.parametrize("dims", [(32, 32, 8), (64, 64, 8)], ids=["default", "infer-large"])
 def test_every_kept_tap_pairs_on_a_full_grid(monkeypatch, dims):
     r = rng(41)
-    cfg = bb.BackboneConfig(base_channels=2)
-    enc, dec = bb.init_encoder(cfg, 1, r, dims), bb.init_decoder(cfg, 8, r, dims)
+    widths = bb.stage_widths(2)
+    enc, dec = bb.init_encoder(widths, 1, r, dims), bb.init_decoder(widths, 8, r, dims)
     paired = record_paired_taps(monkeypatch, {**pp.collect(enc, "encoder"),
                                               **pp.collect(dec, "decoder")})
     coords = sparse.unpack_coords(np.arange(math.prod(dims)), dims)
@@ -571,6 +548,22 @@ def test_load_model_returns_the_saved_config_and_rejects_unknown_keys(tmp_path):
     ck.save_checkpoint(tmp_path / "m.ckpt", saved)
     with pytest.raises(cf.ConfigError, match="model.typo"):
         tr.load_model(tmp_path / "m.ckpt")
+
+
+def test_a_checkpoint_saved_with_the_old_cross_space_switch_fails_typed(tmp_path):
+    """The key left the config when the direct scatter/gather path was deleted;
+    its parameter names did not change, so only the config can tell."""
+    key = "model.cross_space.enabled"
+    cfg = tiny_cfg()
+    tr.save_model(tmp_path / "m.ckpt", Model(cfg), None, cfg, step=0)
+    saved = ck.load_checkpoint(tmp_path / "m.ckpt")
+    old = {**cfg, key: True}
+    saved.config_text, saved.config_hash = cf.canonical_text(old), cf.config_hash(old)
+    ck.save_checkpoint(tmp_path / "m.ckpt", saved)
+    with pytest.raises(cf.ConfigError, match=f"unknown config key '{key}'"):
+        tr.load_model(tmp_path / "m.ckpt")
+    with pytest.raises(ck.CheckpointError, match="config hash mismatch"):
+        tr.load_model(tmp_path / "m.ckpt", cfg)
 
 
 @pytest.mark.parametrize("edit,named", [
@@ -669,8 +662,8 @@ def test_training_divergence_names_first_non_finite_term(monkeypatch, replace, t
     samples, _ = tiny_scenes(1)
     real = tr.compute_losses
 
-    def losses_at_step_1(model, out, sample):
-        losses = real(model, out, sample)
+    def losses_at_step_1(out, sample):
+        losses = real(out, sample)
         calls.append(1)
         if len(calls) == 2:
             losses.update({k: ad.constant(v) for k, v in replace.items()})
@@ -680,6 +673,23 @@ def test_training_divergence_names_first_non_finite_term(monkeypatch, replace, t
     monkeypatch.setattr(tr, "compute_losses", losses_at_step_1)
     with pytest.raises(tr.TrainingDiverged, match=f"at step 1: {term}$"):
         tr.train(tiny_cfg(**{"train.steps": 2}), samples=samples)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", ["train.steps", "train.log_every"])
+def test_train_rejects_steps_or_log_interval_below_one_before_writing(tmp_path, capsys,
+                                                                      key, value):
+    samples, _ = tiny_scenes(1)
+    ckpt, logf = tmp_path / "m.ckpt", tmp_path / "train.log"
+    message = f"{key} must be at least 1, got {value}"
+    with pytest.raises(cf.ConfigError, match=f"^{message}$"):
+        tr.train(tiny_cfg(**{key: value}), out_ckpt=ckpt, log_path=logf, samples=samples)
+    data.write_dataset(samples, tmp_path / "d.bin")
+    (tmp_path / "c.cfg").write_text(f"{key} = {value}\n")
+    assert cli.main(["train", "--config", str(tmp_path / "c.cfg"), "--out", str(ckpt),
+                     "--data", str(tmp_path / "d.bin"), "--log", str(logf)]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not ckpt.exists() and not logf.exists()
 
 
 # -- offsets -------------------------------------------------------------------
@@ -825,3 +835,18 @@ def test_package_has_no_unused_module_level_imports():
                           for alias in node.names
                           if (alias.asname or alias.name).split(".")[0] not in used]
     assert found == []
+
+
+def test_every_function_in_the_package_reads_each_of_its_parameters():
+    """Except `train.save_model`'s `opt`, which the benchmark passes."""
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                          + [a.vararg, a.kwarg] if x is not None]
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)}
+                found += [f"{name}:{node.name}({p})" for p in params if p not in read]
+    assert found == ["train.py:save_model(opt)"]

@@ -450,7 +450,8 @@ def test_identity_tap_marker_matches_its_expanded_rows_byte_for_byte(cin, cout):
         for got, ref in zip(*results):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     with pytest.raises(ValueError, match="identity tap"):
-        ad.tap_matmul_scatter(ad.Tensor(relu), ad.Tensor(kernel), pairs, len(t) + 1)
+        ad.tap_matmul_scatter(ad.Tensor(relu), ad.Tensor(kernel), pairs, len(t) + 1,
+                              ad.Tensor(bias))
 
 
 @pytest.mark.parametrize("conv", ["strided", "upsample"])
