@@ -383,30 +383,47 @@ def put_rows(values: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
     return _make(out, (values,), lambda g: (g[rows],))
 
 
+def _fold_reduceat(ufunc, rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """ufunc.reduceat(rows[order], starts, axis=0), non-empty segments: one pass per rank to the cut."""
+    cut = 8   # only crowded voxels hold more points
+    counts = np.diff(starts, append=len(order))
+    out = rows[order[starts]]
+    for rank in range(1, cut):
+        seg = np.nonzero(counts > rank)[0]
+        out[seg] = ufunc(out[seg], rows[order[starts[seg] + rank]])
+    ranks = np.arange(len(order)) - np.repeat(starts, counts)
+    tail, crowd = ranks >= cut, counts > cut
+    out[crowd] = ufunc(out[crowd], ufunc.reduceat(rows[order[tail]], np.flatnonzero(ranks[tail] == cut),
+                                                  axis=0))
+    return out
+
+
 def segment_max(values: Tensor, group_id: np.ndarray, n_groups: int) -> Tensor:
     """Per-group columnwise max of `values` (N, C) under `group_id` (N,).
 
     Group ids must fill range(n_groups). The subgradient routes to the
     first maximizing row of each (group, column), matching np.argmax tie-breaking.
+    The max and the first-winner search run as an exact `_fold_reduceat`: values equal
+    np.maximum.reduceat's (a +0.0/-0.0 tie may flip a zero's sign), gradients its bytes.
     """
     data = values.data
     n, c = data.shape
     order = np.argsort(group_id, kind="stable")
     sorted_gid = group_id[order]
     starts = np.searchsorted(sorted_gid, np.arange(n_groups))
-    if n_groups and (n < n_groups or sorted_gid[0] < 0 or sorted_gid[-1] >= n_groups
-                     or (sorted_gid[np.minimum(starts, n - 1)] != np.arange(n_groups)).any()):
+    if (n or n_groups) and (n < n_groups or sorted_gid[0] < 0 or sorted_gid[-1] >= n_groups
+                            or (sorted_gid[np.minimum(starts, n - 1)] != np.arange(n_groups)).any()):
         raise ValueError("segment_max requires group ids that fill range(n_groups)")
     if n_groups == 0:
         return _make(np.zeros((0, c)), (values,), lambda g: (np.zeros_like(data),))
-    sorted_vals = data[order]
-    out = np.maximum.reduceat(sorted_vals, starts, axis=0)
+    out = _fold_reduceat(np.maximum, data, order, starts)
 
     def vjp(g):
         # first maximizing row per (group, column), in stable sorted order
-        hit = sorted_vals == out[sorted_gid]
-        pos = np.where(hit, np.arange(n)[:, None], n)
-        first = np.minimum.reduceat(pos, starts, axis=0)
+        sorted_pos = np.empty_like(order)
+        sorted_pos[order] = np.arange(n)
+        pos = np.where(data == out[group_id], sorted_pos[:, None], n)
+        first = _fold_reduceat(np.minimum, pos, order, starts)
         winners = order[first]
         gv = np.zeros_like(data)
         gv[winners, np.arange(c)] = g   # groups own disjoint rows: no pair repeats

@@ -8,8 +8,9 @@ for (W, H) BEV cells, (k*H + y)*W + x for (W, H, K) class heatmaps. No other
 module computes a grid key, except `autodiff.bilinear_sample` below this one.
 Convolution rulebooks come from a dense lookup grid padded by one cell: each
 source row is written at its key, and one fancy index reads the neighbour
-rows of every output site at every live tap. `rows_of` (a binary search over
-the sorted keys) remains for ad-hoc queries.
+rows of every output site at every live tap. The stride-2 relation a strided conv
+builds also serves the transposed conv back onto its input sites, each tap's rows
+swapped. `rows_of` (a binary search over the sorted keys) remains for ad-hoc queries.
 
 Convolutions are cross-correlations, out[p] = sum_t K[t] . in[p + off_t], with a
 (T, Cin, Cout) kernel over the T live taps (`live_taps`): the offsets in {-1, 0, 1}^3
@@ -173,19 +174,27 @@ def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
     return pairs
 
 
-def _conv_pairs(tensor: SparseVoxelTensor, out_coords: np.ndarray, stride: int):
-    """Per-live-tap (input rows, output rows) route for a 3x3x3 correlation."""
+def _conv_pairs(tensor: SparseVoxelTensor, out_coords: np.ndarray, stride: int, out_shape: tuple):
+    """Per-live-tap (input rows, ascending output rows): input = stride * output + offset."""
     shape = tensor.spatial_shape
-    key = ("conv", shape, stride, tensor._keys.tobytes(), out_coords.tobytes())
-    taps = live_taps(shape, tuple(s // stride for s in shape), stride)
+    key = ("conv", shape, out_shape, stride, tensor._keys.tobytes(), out_coords.tobytes())
+    taps = live_taps(shape, out_shape, stride)
+    grid_shape = np.maximum(shape, stride * np.array(out_shape))
     return _cached(key, lambda: _rulebook(tensor.coords, out_coords * stride,
-                                          KERNEL_OFFSETS[taps], shape))
+                                          KERNEL_OFFSETS[taps], grid_shape))
+
+
+def _swap(pair):
+    """One tap's (fine rows, coarse rows) as (coarse rows, fine rows) by fine row;
+    the identity marker (None) maps to itself."""
+    order = pair and np.argsort(pair[0], kind="stable")   # sorted for key-ordered sites
+    return pair and (pair[1][order], pair[0][order])
 
 
 def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
                        bias: ad.Tensor) -> SparseVoxelTensor:
     """3x3x3 sparse convolution whose output sites equal the input sites."""
-    pairs = _conv_pairs(t, t.coords, stride=1)
+    pairs = _conv_pairs(t, t.coords, 1, t.spatial_shape)
     out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(t), bias)
     return t.with_features(out)
 
@@ -206,7 +215,7 @@ def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
         out_coords = unpack_coords(keys, out_shape)
     else:
         out_coords = np.empty((0, 3), dtype=np.int64)
-    pairs = _conv_pairs(t, out_coords, stride=stride)
+    pairs = _conv_pairs(t, out_coords, stride, out_shape)
     out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(out_coords), bias)
     return SparseVoxelTensor(out_coords, out, out_shape)
 
@@ -218,12 +227,11 @@ def upsample_conv3d(coarse: SparseVoxelTensor, fine_coords: np.ndarray,
     fine-scale coordinates: fine[f] += K[t] . coarse[o] wherever 2o + t = f."""
     # built first so that out-of-grid or duplicate fine sites fail before the lookup
     fine = SparseVoxelTensor(fine_coords, np.zeros((len(fine_coords), 0)), fine_shape)
-    taps = live_taps(fine.spatial_shape, coarse.spatial_shape, 2)
-    grid_shape = np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape))
     key = ("up", coarse.spatial_shape, fine.spatial_shape, coarse._keys.tobytes(),
            fine.coords.tobytes())
-    pairs = _cached(key, lambda: _rulebook(2 * coarse.coords, fine.coords,
-                                           -KERNEL_OFFSETS[taps], grid_shape))
+    # read off the stride-2 relation that strided_conv3d built from these sites
+    pairs = _cached(key, lambda: [_swap(pair) for pair in
+                                  _conv_pairs(fine, coarse.coords, 2, coarse.spatial_shape)])
     out = ad.tap_matmul_scatter(coarse.features, kernel, pairs, len(fine), bias)
     return fine.with_features(out)
 

@@ -198,7 +198,8 @@ def _segment_max_grad_eager(data, group_id, n_groups, g):
 
 def test_segment_max_grad_matches_eager_bookkeeping_with_ties():
     r = rng(17)
-    shapes = [(40, 7, 5), (9, 9, 3), (25, 1, 4)] + [
+    # the last three hold groups past the rank fold's cut of 8 rows
+    shapes = [(40, 7, 5), (9, 9, 3), (25, 1, 4), (200, 3, 4), (61, 6, 2), (500, 20, 3)] + [
         (int(r.integers(1, 60)), int(r.integers(1, 12)), int(r.integers(1, 6)))
         for _ in range(17)]
     for n, m, c in shapes:
@@ -231,6 +232,35 @@ def test_segment_max_rejects_ids_outside_the_groups(group_id):
     x = ad.Tensor(np.arange(2.0 * len(group_id)).reshape(len(group_id), 2))
     with pytest.raises(ValueError):
         ad.segment_max(x, np.array(group_id, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("group_id", [[0, 0, 0], [-1], [5, 0]])
+def test_segment_max_rejects_rows_without_groups(group_id):
+    x = ad.Tensor(np.ones((len(group_id), 2)))
+    with pytest.raises(ValueError):
+        ad.segment_max(x, np.array(group_id, dtype=np.int64), 0)
+
+
+def test_segment_max_fold_equals_maximum_reduceat():
+    """Single rows, groups past the fold's cut, one 20,000-row group, NaN rows
+    and ties of +0.0 with -0.0: values equal np.maximum.reduceat's."""
+    r = rng(18)
+    for trial in range(40):
+        sizes = r.choice([1, 1, 2, 3, 7, 8, 9, 40],   # the fold passes ranks below 8
+                         size=int(r.integers(1, 30)))
+        if trial == 0:
+            sizes[r.integers(len(sizes))] = 20_000
+        gid = r.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        data = r.integers(-1, 2, size=(len(gid), 3)) * np.where(r.random((len(gid), 3)) < 0.5,
+                                                                 1.0, -1.0)   # +-0.0 ties
+        if trial % 2:
+            data[r.integers(len(gid), size=2)] = np.nan
+        order = np.argsort(gid, kind="stable")
+        want = np.maximum.reduceat(data[order], np.searchsorted(gid[order], np.arange(len(sizes))),
+                                   axis=0)
+        with ad.no_grad():
+            got = ad.segment_max(ad.Tensor(data), gid, len(sizes)).data
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_bilinear_sample_values_and_grads():

@@ -346,8 +346,8 @@ def up_rulebook(coarse, fine_coords, fine_shape):
     sparse.upsample_conv3d(coarse, fine_coords, fine_shape,
                            ad.Tensor(np.zeros((n_taps, coarse.num_channels, 1))),
                            ad.Tensor(np.zeros(1)))
-    (key, (pairs, _size)), = sparse._RULEBOOK_CACHE.items()
-    assert key[0] == "up"
+    # the cache also holds the stride-2 relation the "up" entry is read off
+    (pairs, _size), = [entry for key, entry in sparse._RULEBOOK_CACHE.items() if key[0] == "up"]
     return pairs
 
 
@@ -361,12 +361,12 @@ def test_rulebooks_match_rows_of_reference():
         coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((len(down_taps), 2, 2))), b)
         for src in (t, coarse):
             taps = sparse.live_taps(src.spatial_shape, src.spatial_shape, 1)
-            sub = sparse._conv_pairs(src, src.coords, 1)
+            sub = sparse._conv_pairs(src, src.coords, 1, src.spatial_shape)
             want = live_part(rows_of_conv_pairs(src, src.coords, 1), taps)
             assert_same_unique_pairs(sub, want, len(src))
             # the centre offset's tap of a non-empty submanifold rulebook is the marker
             assert marked_taps(sub) == ([list(taps).index(13)] if len(src) else [])
-        down = sparse._conv_pairs(t, coarse.coords, 2)
+        down = sparse._conv_pairs(t, coarse.coords, 2, coarse.spatial_shape)
         want = live_part(rows_of_conv_pairs(t, coarse.coords, 2), down_taps)
         assert_same_unique_pairs(down, want, len(t))
         # elsewhere the marker stands exactly where the reference rows are the identity
@@ -378,6 +378,56 @@ def test_rulebooks_match_rows_of_reference():
             want = live_part(rows_of_up_pairs(coarse, fine_coords), down_taps)
             assert_same_unique_pairs(up, want, len(coarse))
             assert marked_taps(up) == identity_taps(want, len(coarse), len(fine_coords))
+
+
+def test_derived_upsample_rulebook_equals_a_direct_build():
+    """The upsample pairs read off the stride-2 relation equal a direct build of
+    fine = 2 * coarse + offset from the coarse side, array for array and dtype for dtype."""
+    r = rng(29)
+    cases = []
+    for t, other in rulebook_cases():
+        taps = sparse.live_taps(t.spatial_shape, tuple(s // 2 for s in t.spatial_shape), 2)
+        coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((len(taps), 2, 2))),
+                                       ad.Tensor(np.zeros(2)))
+        cases += [(coarse, t.coords, t.spatial_shape), (coarse, other, t.spatial_shape)]
+    # even fine sites, one per coarse site, in the same order: tap (0, 0, 0) is the marker
+    even = face_sparse(r, (4, 4, 4), 20)
+    cases.append((even, 2 * even.coords, (8, 8, 8)))
+    # a fine grid one voxel high under a coarse one: no strided conv makes this pair
+    cases.append((sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 0]]),
+                                           r.normal(size=(2, 2)), (2, 2, 1)),
+                  np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]]), (4, 4, 1)))
+    marked = []
+    for coarse, fine_coords, fine_shape in cases:
+        taps = sparse.live_taps(fine_shape, coarse.spatial_shape, 2)
+        got = up_rulebook(coarse, fine_coords, fine_shape)
+        want = sparse._rulebook(2 * coarse.coords, fine_coords, -sparse.KERNEL_OFFSETS[taps],
+                                np.maximum(fine_shape, 2 * np.array(coarse.spatial_shape)))
+        assert len(got) == len(want) == len(taps)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            for ga, wa in zip(g or (), w or ()):
+                assert ga.dtype == wa.dtype
+                np.testing.assert_array_equal(ga, wa)
+        marked.append(marked_taps(got))
+    assert marked[-2] == [list(sparse.live_taps((8, 8, 8), (4, 4, 4), 2)).index(13)]
+
+
+def test_strided_conv_and_its_upsample_build_the_stride_2_relation_once(monkeypatch):
+    calls = []
+    build = sparse._rulebook
+    monkeypatch.setattr(sparse, "_rulebook", lambda *a: calls.append(a) or build(*a))
+    sparse._RULEBOOK_CACHE.clear()
+    r = rng(30)
+    t = face_sparse(r, (6, 8, 4), 40)
+    taps = sparse.live_taps(t.spatial_shape, (3, 4, 2), 2)
+    coarse = sparse.strided_conv3d(t, ad.Tensor(r.normal(size=(len(taps), 2, 3))),
+                                   ad.Tensor(np.zeros(3)))
+    assert len(calls) == 1
+    up = sparse.upsample_conv3d(coarse, t.coords, t.spatial_shape,
+                                ad.Tensor(r.normal(size=(len(taps), 3, 2))), ad.Tensor(np.zeros(2)))
+    assert len(calls) == 1 and len(sparse._RULEBOOK_CACHE) == 2
+    assert len(up) == len(t)
 
 
 def test_upsample_rejects_bad_fine_sites_before_lookup():
@@ -407,14 +457,14 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
     t = face_sparse(r, (6, 8, 4), 60, cin=3)
     k = ad.Tensor(r.normal(size=(27, 3, 3)))
     coarse = sparse.strided_conv3d(t, k, ad.Tensor(np.zeros(3)))
-    cases = [(t, sparse._conv_pairs(t, t.coords, 1), len(t)),
-             (t, sparse._conv_pairs(t, coarse.coords, 2), len(coarse)),
+    cases = [(t, sparse._conv_pairs(t, t.coords, 1, t.spatial_shape), len(t)),
+             (t, sparse._conv_pairs(t, coarse.coords, 2, coarse.spatial_shape), len(coarse)),
              (coarse, up_rulebook(coarse, t.coords, t.spatial_shape), len(t))]
     # relu-style features: negatives become -0.0, one channel entirely
     relu = t.features.data * (t.features.data > 0)
     relu[:, 1] = -0.0
     cases.append((sparse.SparseVoxelTensor(t.coords, relu, t.spatial_shape),
-                  sparse._conv_pairs(t, t.coords, 1), len(t)))
+                  sparse._conv_pairs(t, t.coords, 1, t.spatial_shape), len(t)))
     for src, pairs, n_out in cases:
         feats = ad.parameter(src.features.data.copy())
         kern = ad.parameter(r.normal(size=(27, 3, 4)))
@@ -432,7 +482,7 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
 def test_identity_tap_marker_matches_its_expanded_rows_byte_for_byte(cin, cout):
     r = rng(23)
     t = face_sparse(r, (16, 16, 8), 900, cin=cin)
-    pairs = sparse._conv_pairs(t, t.coords, 1)
+    pairs = sparse._conv_pairs(t, t.coords, 1, t.spatial_shape)
     assert pairs[13] is None
     relu = t.features.data * (t.features.data > 0)    # -0.0 where negative
     relu[:5] = -0.0
