@@ -402,7 +402,8 @@ def segment_max(values: Tensor, group_id: np.ndarray, n_groups: int) -> Tensor:
     """Per-group columnwise max of `values` (N, C) under `group_id` (N,).
 
     Group ids must fill range(n_groups). The subgradient routes to the
-    first maximizing row of each (group, column), matching np.argmax tie-breaking.
+    first maximizing row of each (group, column), matching np.argmax tie-breaking;
+    a NaN maximum (np.maximum propagates NaN) routes to the first NaN row.
     The max and the first-winner search run as an exact `_fold_reduceat`: values equal
     np.maximum.reduceat's (a +0.0/-0.0 tie may flip a zero's sign), gradients its bytes.
     """
@@ -422,7 +423,7 @@ def segment_max(values: Tensor, group_id: np.ndarray, n_groups: int) -> Tensor:
         # first maximizing row per (group, column), in stable sorted order
         sorted_pos = np.empty_like(order)
         sorted_pos[order] = np.arange(n)
-        pos = np.where(data == out[group_id], sorted_pos[:, None], n)
+        pos = np.where((data == out[group_id]) | np.isnan(data), sorted_pos[:, None], n)
         first = _fold_reduceat(np.minimum, pos, order, starts)
         winners = order[first]
         gv = np.zeros_like(data)

@@ -150,9 +150,7 @@ def decode(scales: list[SparseVoxelTensor], injected: SparseVoxelTensor,
     x = injected
     for i, lvl in enumerate((2, 1, 0)):
         skip = scales[lvl]
-        up = upsample_conv3d(x, skip.coords, skip.spatial_shape,
-                             p.ups[i].kernel, p.ups[i].bias)
-        up = _act(up)
+        up = _act(upsample_conv3d(x, skip, p.ups[i].kernel, p.ups[i].bias))
         merged = up.with_features(ad.concat([up.features, skip.features], axis=1))
         x = _act(submanifold_conv3d(merged, p.fuses[i].kernel, p.fuses[i].bias))
     return x

@@ -157,7 +157,7 @@ class Model:
             raise EmptyFrameError("no point of the frame falls inside the voxel grid")
         kept_feats = sample.points[frame.kept].astype(np.float64)
         feats = vx.voxel_feature_encode(frame, kept_feats, self.vfe)
-        full = sparse.SparseVoxelTensor(frame.indices, feats, self.grid.dims)
+        full = sparse.frame_tensor(frame.indices, feats, self.grid.dims)
 
         scales = bb.encode(full, self.encoder)
         bottleneck = scales[3]

@@ -8,9 +8,14 @@ for (W, H) BEV cells, (k*H + y)*W + x for (W, H, K) class heatmaps. No other
 module computes a grid key, except `autodiff.bilinear_sample` below this one.
 Convolution rulebooks come from a dense lookup grid padded by one cell: each
 source row is written at its key, and one fancy index reads the neighbour
-rows of every output site at every live tap. The stride-2 relation a strided conv
-builds also serves the transposed conv back onto its input sites, each tap's rows
-swapped. `rows_of` (a binary search over the sorted keys) remains for ad-hoc queries.
+rows of every output site at every live tap.
+
+Rulebooks belong to their coordinate set, as in Minkowski Engine's coordinate
+manager: every tensor on one set (`with_features`) shares its memo, built once.
+A strided conv memoizes the child set's sites, the stride-2 relation and the
+child's own memo, so a frame's sites form a pyramid of memos, and the
+transposed conv from that child back onto these sites reads the relation with
+each tap's rows swapped. `frame_tensor` keeps the pyramids of recent frames.
 
 Convolutions are cross-correlations, out[p] = sum_t K[t] . in[p + off_t], with a
 (T, Cin, Cout) kernel over the T live taps (`live_taps`): the offsets in {-1, 0, 1}^3
@@ -68,7 +73,8 @@ def unpack_coords(keys: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class SparseVoxelTensor:
-    """Coordinate list + feature matrix, single sample, immutable."""
+    """Coordinate list + feature matrix, single sample, immutable; `_memo` holds
+    the rulebooks of its coordinate set (see the module docstring)."""
 
     def __init__(self, coords: np.ndarray, features, spatial_shape: tuple):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
@@ -80,16 +86,10 @@ class SparseVoxelTensor:
         if len(coords) and ((coords < 0).any() or (coords >= np.array(shape)).any()):
             raise CoordinateError("coords outside spatial_shape")
         keys = pack_coords(coords, shape)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        if len(sorted_keys) > 1 and (np.diff(sorted_keys) == 0).any():
+        if len(keys) > 1 and (np.diff(np.sort(keys)) == 0).any():
             raise CoordinateError("duplicate coordinates")
-        self.coords = coords
+        self.coords, self._keys, self.spatial_shape, self._memo = coords, keys, shape, {}
         self.features = features
-        self.spatial_shape = shape
-        self._keys = keys
-        self._sorted_keys = sorted_keys
-        self._order = order
 
     def __len__(self):
         return len(self.coords)
@@ -98,59 +98,58 @@ class SparseVoxelTensor:
     def num_channels(self) -> int:
         return self.features.data.shape[1]
 
-    def rows_of(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized lookup: (row ids, found mask) for query coordinates.
-
-        Out-of-grid queries are simply not found.
-        """
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        shape = np.array(self.spatial_shape)
-        in_grid = ((coords >= 0) & (coords < shape)).all(axis=1)
-        keys = pack_coords(np.clip(coords, 0, shape - 1), self.spatial_shape)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.clip(pos, 0, max(len(self._sorted_keys) - 1, 0))
-        if len(self._sorted_keys):
-            found = in_grid & (self._sorted_keys[pos] == keys)
-            rows = self._order[pos]
-        else:
-            found = np.zeros(len(coords), dtype=bool)
-            rows = np.zeros(len(coords), dtype=np.int64)
-        return rows, found
-
     def with_features(self, features) -> "SparseVoxelTensor":
-        out = SparseVoxelTensor.__new__(SparseVoxelTensor)
-        out.coords = self.coords
-        out.spatial_shape = self.spatial_shape
-        out._keys = self._keys
-        out._sorted_keys = self._sorted_keys
-        out._order = self._order
-        if not isinstance(features, ad.Tensor):
-            features = ad.Tensor(features)
-        out.features = features
-        return out
+        return _on_sites(self.coords, self._keys, self.spatial_shape, self._memo, features)
 
 
-# Rulebooks depend only on coordinate geometry, which repeats every time the
-# same scene is revisited; cache them by the raw coordinate bytes. Over budget,
-# least recently used entries go down to half of it, so that every miss changes
-# the entry count: bench/spans.py counts misses by it.
-_RULEBOOK_CACHE: dict = {}      # key -> (per-tap pairs, bytes of key and pairs)
-_RULEBOOK_CACHE_BYTES = 8 << 20   # 2.7x what 8 default scenes need; more adds page faults
+def _on_sites(coords, keys, shape, memo, features) -> SparseVoxelTensor:
+    """A tensor on sites known to be valid, sharing their rulebook memo."""
+    out = SparseVoxelTensor.__new__(SparseVoxelTensor)
+    out.coords, out._keys, out.spatial_shape, out._memo = coords, keys, shape, memo
+    out.features = features if isinstance(features, ad.Tensor) else ad.Tensor(features)
+    return out
 
 
-def _cached(key, build):
-    entry = _RULEBOOK_CACHE.pop(key, None)
-    if entry is None:
-        pairs = build()
-        # the last two parts of a key are the coordinate byte strings
-        entry = pairs, sum(map(len, key[-2:])) + sum(a.nbytes + b.nbytes
-                                                     for a, b in filter(None, pairs))
-        held = sum(size for _, size in _RULEBOOK_CACHE.values())
-        if held + entry[1] > _RULEBOOK_CACHE_BYTES:
-            while _RULEBOOK_CACHE and held + entry[1] > _RULEBOOK_CACHE_BYTES // 2:
-                held -= _RULEBOOK_CACHE.pop(next(iter(_RULEBOOK_CACHE)))[1]
-    _RULEBOOK_CACHE[key] = entry    # most recently used last
-    return entry[0]
+def _memoized(memo: dict, key, build):
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _memo_bytes(memo: dict) -> int:
+    """Bytes of the index arrays a memo holds, its child sets' memos included.
+    Keys: 1 the submanifold rulebook; 2 (child coords, child keys, stride-2
+    rulebook, child memo); -2 the stride-2 rulebook transposed onto these sites."""
+    size = 0
+    for key, pairs in memo.items():
+        if key == 2:
+            coords, keys, pairs, child = pairs
+            size += coords.nbytes + keys.nbytes + _memo_bytes(child)
+        size += sum(a.nbytes + b.nbytes for a, b in filter(None, pairs))
+    return size
+
+
+# A frame's rulebooks repeat whenever its voxels do (a revisited scene); the
+# memos of recent frames stay, least recently used first, within a byte budget.
+_FRAMES: dict = {}               # (shape, key bytes) -> [memo, bytes when last measured]
+_FRAME_CACHE_BYTES = 8 << 20     # 4x what 8 default scenes hold; more adds page faults
+
+
+def frame_tensor(coords: np.ndarray, features, spatial_shape: tuple) -> SparseVoxelTensor:
+    """A full-resolution SparseVoxelTensor that shares the rulebook memo of a
+    recent frame on the same sites."""
+    t = SparseVoxelTensor(coords, features, spatial_shape)
+    key = (t.spatial_shape, t._keys.tobytes())
+    if _FRAMES:     # the previous frame's convs have run: measure what it holds now
+        last = next(reversed(_FRAMES))
+        _FRAMES[last][1] = len(last[1]) + _memo_bytes(_FRAMES[last][0])
+    entry = _FRAMES.pop(key, None) or [{}, len(key[1])]
+    _FRAMES[key] = entry    # most recently used last
+    held = sum(size for _memo, size in _FRAMES.values())
+    while held > _FRAME_CACHE_BYTES:
+        held -= _FRAMES.pop(next(iter(_FRAMES)))[1]
+    t._memo = entry[0]
+    return t
 
 
 def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
@@ -174,16 +173,6 @@ def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
     return pairs
 
 
-def _conv_pairs(tensor: SparseVoxelTensor, out_coords: np.ndarray, stride: int, out_shape: tuple):
-    """Per-live-tap (input rows, ascending output rows): input = stride * output + offset."""
-    shape = tensor.spatial_shape
-    key = ("conv", shape, out_shape, stride, tensor._keys.tobytes(), out_coords.tobytes())
-    taps = live_taps(shape, out_shape, stride)
-    grid_shape = np.maximum(shape, stride * np.array(out_shape))
-    return _cached(key, lambda: _rulebook(tensor.coords, out_coords * stride,
-                                          KERNEL_OFFSETS[taps], grid_shape))
-
-
 def _swap(pair):
     """One tap's (fine rows, coarse rows) as (coarse rows, fine rows) by fine row;
     the identity marker (None) maps to itself."""
@@ -194,44 +183,48 @@ def _swap(pair):
 def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
                        bias: ad.Tensor) -> SparseVoxelTensor:
     """3x3x3 sparse convolution whose output sites equal the input sites."""
-    pairs = _conv_pairs(t, t.coords, 1, t.spatial_shape)
+    shape = t.spatial_shape
+    pairs = _memoized(t._memo, 1, lambda: _rulebook(
+        t.coords, t.coords, KERNEL_OFFSETS[live_taps(shape, shape, 1)], shape))
     out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(t), bias)
     return t.with_features(out)
 
 
+def _child(t: SparseVoxelTensor, shape: tuple) -> tuple:
+    """Memo entry 2 of t's sites: the child sites floor(coords / 2), deduplicated,
+    with their keys, the per-tap (input rows, child rows) and the child's memo."""
+    keys = np.unique(pack_coords(t.coords // 2, shape))
+    coords = unpack_coords(keys, shape)
+    offsets = KERNEL_OFFSETS[live_taps(t.spatial_shape, shape, 2)]
+    return coords, keys, _rulebook(t.coords, 2 * coords, offsets, t.spatial_shape), {}
+
+
 def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
-                   bias: ad.Tensor, stride: int = 2) -> SparseVoxelTensor:
+                   bias: ad.Tensor) -> SparseVoxelTensor:
     """Downsampling sparse convolution (stride 2, padding 1).
 
     Active output sites are floor(coords / 2) of the input sites,
     deduplicated; each carries the dense strided convolution value there.
     """
-    if any(s % stride for s in t.spatial_shape):
-        raise ValueError(f"spatial_shape {t.spatial_shape} not divisible by {stride}")
-    out_shape = tuple(s // stride for s in t.spatial_shape)
-    if len(t):
-        down = t.coords // stride
-        keys = np.unique(pack_coords(down, out_shape))
-        out_coords = unpack_coords(keys, out_shape)
+    if any(s % 2 for s in t.spatial_shape):
+        raise ValueError(f"spatial_shape {t.spatial_shape} not divisible by 2")
+    shape = tuple(s // 2 for s in t.spatial_shape)
+    coords, keys, pairs, memo = _memoized(t._memo, 2, lambda: _child(t, shape))
+    out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(coords), bias)
+    return _on_sites(coords, keys, shape, memo, out)
+
+
+def upsample_conv3d(coarse: SparseVoxelTensor, fine: SparseVoxelTensor,
+                    kernel: ad.Tensor, bias: ad.Tensor) -> SparseVoxelTensor:
+    """Transposed counterpart of strided_conv3d onto the sites of `fine`:
+    fine[f] += K[t] . coarse[o] wherever 2o + t = f."""
+    child = fine._memo.get(2)
+    if child is not None and child[3] is coarse._memo:   # coarse was strided from fine
+        pairs = _memoized(fine._memo, -2, lambda: [_swap(pair) for pair in child[2]])
     else:
-        out_coords = np.empty((0, 3), dtype=np.int64)
-    pairs = _conv_pairs(t, out_coords, stride, out_shape)
-    out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(out_coords), bias)
-    return SparseVoxelTensor(out_coords, out, out_shape)
-
-
-def upsample_conv3d(coarse: SparseVoxelTensor, fine_coords: np.ndarray,
-                    fine_shape: tuple, kernel: ad.Tensor,
-                    bias: ad.Tensor) -> SparseVoxelTensor:
-    """Transposed counterpart of strided_conv3d, restricted to known
-    fine-scale coordinates: fine[f] += K[t] . coarse[o] wherever 2o + t = f."""
-    # built first so that out-of-grid or duplicate fine sites fail before the lookup
-    fine = SparseVoxelTensor(fine_coords, np.zeros((len(fine_coords), 0)), fine_shape)
-    key = ("up", coarse.spatial_shape, fine.spatial_shape, coarse._keys.tobytes(),
-           fine.coords.tobytes())
-    # read off the stride-2 relation that strided_conv3d built from these sites
-    pairs = _cached(key, lambda: [_swap(pair) for pair in
-                                  _conv_pairs(fine, coarse.coords, 2, coarse.spatial_shape)])
+        taps = live_taps(fine.spatial_shape, coarse.spatial_shape, 2)
+        pairs = _rulebook(2 * coarse.coords, fine.coords, -KERNEL_OFFSETS[taps],
+                          np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape)))
     out = ad.tap_matmul_scatter(coarse.features, kernel, pairs, len(fine), bias)
     return fine.with_features(out)
 

@@ -240,14 +240,15 @@ def test_criterion_3_gradient_suite():
     w_str = ad.constant(r.normal(size=(n_str, 3)))
     check_grads(lambda: ad.mul(sparse.strided_conv3d(t, k3, b3).features,
                                w_str).sum(), [t.features, k3, b3])
-    fine = np.array([[0, 0, 0], [2, 2, 2], [3, 2, 1]])
+    fine = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [2, 2, 2], [3, 2, 1]]),
+                                    np.zeros((3, 0)), (4, 4, 4))
     coarse = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 1]]),
                                       ad.parameter(r.normal(size=(2, 3))), (2, 2, 2))
     w_up = ad.constant(r.normal(size=(3, 2)))
     k_up = ad.parameter(r.normal(size=(27, 3, 2)))
     b_up = ad.parameter(r.normal(size=2))
-    check_grads(lambda: ad.mul(sparse.upsample_conv3d(coarse, fine, (4, 4, 4),
-                                                      k_up, b_up).features, w_up).sum(),
+    check_grads(lambda: ad.mul(sparse.upsample_conv3d(coarse, fine, k_up, b_up).features,
+                               w_up).sum(),
                 [coarse.features, k_up, b_up])
 
     # BEV extractor

@@ -217,6 +217,32 @@ def test_segment_max_grad_matches_eager_bookkeeping_with_ties():
             assert np.array_equal(x.grad[win, np.arange(c)], g[grp])
 
 
+def test_segment_max_grad_of_a_nan_maximum_goes_to_the_first_nan_row():
+    """A NaN in a (group, column) makes its maximum NaN; as np.argmax does, the
+    first NaN row in input order takes its gradient, in groups below and past
+    the rank fold's cut of 8 rows."""
+    x = ad.parameter(np.array([[1.0, np.nan], [2.0, 0.0]]))
+    ad.segment_max(x, np.array([0, 0]), 1).sum().backward()
+    np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
+    r = rng(18)
+    for n, m in ((12, 4), (40, 3), (30, 1)):
+        gid = r.permutation(np.arange(n) % m)
+        data = r.normal(size=(n, 3))
+        data[r.random(size=data.shape) < 0.15] = np.nan
+        data[gid == 0, 2] = np.nan          # a column of NaN rows only
+        x = ad.parameter(data)
+        g = r.normal(size=(m, 3))
+        out = ad.segment_max(x, gid, m)
+        ad.mul(out, ad.constant(g)).sum().backward()
+        want = np.zeros_like(data)
+        for grp in range(m):
+            rows = np.flatnonzero(gid == grp)
+            with np.errstate(invalid="ignore"):
+                np.testing.assert_array_equal(out.data[grp], np.max(data[rows], axis=0))
+            want[rows[np.argmax(data[rows], axis=0)], np.arange(3)] = g[grp]
+        assert np.isnan(out.data).any() and np.array_equal(x.grad, want)
+
+
 def test_segment_max_rejects_empty_group():
     x = ad.Tensor(np.zeros((2, 1)))
     with pytest.raises(ValueError):

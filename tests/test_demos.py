@@ -1,5 +1,6 @@
 """Every demo script runs to completion. Demo 03 also checks a sparse conv
-against a rows_of neighbourhood sum, so it guards the rulebooks end to end."""
+against a neighbourhood sum found by pack_coords keys, so it guards the
+rulebooks end to end."""
 
 import os
 import subprocess

@@ -522,6 +522,30 @@ def test_every_kept_tap_pairs_on_the_train_revisit_scenes(monkeypatch):
     assert never == {("encoder.downs.2.kernel", corner), ("decoder.ups.0.kernel", corner)}
 
 
+def test_rulebooks_are_built_once_per_frame(monkeypatch):
+    """A new frame builds one rulebook per coordinate set and stride: 4 submanifold
+    sets and 3 strided steps; a frame seen before builds none, with the same bytes."""
+    cfg = cf.load_config(overrides={"scene.extent_min": (-16.0, -16.0, 0.0),
+                                    "scene.extent_max": (16.0, 16.0, 4.0)})
+    model = Model(cfg)
+    assert model.grid.dims == (64, 64, 8)
+    spec = cli.scene_spec_from_config(cfg)
+    scenes = [data.generate_scene(2_000_003 + j, spec, frame_id=j) for j in range(2)]
+    monkeypatch.setattr(sparse, "_FRAMES", {})
+    calls = []
+    build = sparse._rulebook
+    monkeypatch.setattr(sparse, "_rulebook", lambda *a: calls.append(a) or build(*a))
+    outs = []
+    with ad.no_grad():
+        for scene, builds in zip(scenes + scenes, (7, 7, 0, 0)):
+            before = len(calls)
+            outs.append(model.forward(scene))
+            assert len(calls) - before == builds
+    for new, again in zip(outs[:2], outs[2:]):
+        for name in ("seg_logits", "heatmap", "reg_map", "aux_logits"):
+            assert np.array_equal(getattr(new, name).data, getattr(again, name).data)
+
+
 def test_load_model_draws_no_initial_values(tmp_path, monkeypatch):
     cfg = tiny_cfg()
     model = Model(cfg)

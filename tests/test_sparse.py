@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,31 @@ def random_sparse(r, shape=(5, 5, 5), n=10, cin=3):
     coords = np.column_stack([cells % w, (cells // w) % h, cells // (w * h)])
     feats = ad.parameter(r.normal(size=(len(coords), cin)))
     return sparse.SparseVoxelTensor(coords, feats, shape)
+
+
+def rows_of(t, coords):
+    """(row ids, found mask) of query coordinates in t, by a dict over its
+    pack_coords keys; out-of-grid queries are not found (row -1)."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    index = dict(zip(sparse.pack_coords(t.coords, t.spatial_shape).tolist(), range(len(t))))
+    in_grid = ((coords >= 0) & (coords < t.spatial_shape)).all(axis=1)
+    keys = sparse.pack_coords(np.where(in_grid[:, None], coords, 0), t.spatial_shape)
+    rows = np.array([index.get(k, -1) if ok else -1 for k, ok in zip(keys.tolist(), in_grid)],
+                    dtype=np.int64)
+    return rows, rows >= 0
+
+
+def sites(coords, shape):
+    """A zero-channel tensor on coords: the fine sites of an upsample."""
+    return sparse.SparseVoxelTensor(coords, np.zeros((len(coords), 0)), shape)
+
+
+def rulebook_of(conv, *tensors):
+    """The per-tap pairs conv(*tensors, kernel, bias) hands to tap_matmul_scatter."""
+    with mock.patch.object(ad, "tap_matmul_scatter",
+                           side_effect=lambda f, k, pairs, n, b: ad.Tensor(np.zeros((n, 0)))) as spy:
+        conv(*tensors, None, None)
+    return spy.call_args.args[2]
 
 
 def dense_conv_oracle(t, kernel, bias, stride=1):
@@ -139,7 +166,8 @@ def test_upsample_conv_routes_and_grads():
     fine_coords = np.array([[0, 0, 0], [1, 0, 0], [2, 2, 2], [3, 3, 3]])
     k = ad.parameter(r.normal(size=(27, 2, 2)))
     b = ad.parameter(r.normal(size=2))
-    out = sparse.upsample_conv3d(coarse, fine_coords, (4, 4, 4), k, b)
+    fine = sites(fine_coords, (4, 4, 4))
+    out = sparse.upsample_conv3d(coarse, fine, k, b)
     np.testing.assert_array_equal(out.coords, fine_coords)
     # every fine site f receives coarse[o] iff 2o + t = f for some tap t
     for fi, f in enumerate(fine_coords):
@@ -147,15 +175,14 @@ def test_upsample_conv_routes_and_grads():
         for tap, off in enumerate(sparse.KERNEL_OFFSETS):
             cand = f - off
             if (cand % 2 == 0).all():
-                rows, found = coarse.rows_of(cand // 2)
+                rows, found = rows_of(coarse, cand // 2)
                 if found[0]:
                     acc = acc + coarse.features.data[rows[0]] @ k.data[tap]
         np.testing.assert_allclose(out.features.data[fi], acc, atol=1e-12)
     w = ad.constant(r.normal(size=(4, 2)))
 
     def f():
-        return ad.mul(sparse.upsample_conv3d(coarse, fine_coords, (4, 4, 4), k, b).features,
-                      w).sum()
+        return ad.mul(sparse.upsample_conv3d(coarse, fine, k, b).features, w).sum()
 
     check_grads(f, [coarse.features, k, b])
 
@@ -237,11 +264,15 @@ def test_height_expand_rejects_indivisible():
 
 
 def test_rows_of_exact_lookup():
+    """The reference lookup the rulebook tests compare against."""
     r = rng(14)
     t = random_sparse(r, shape=(6, 6, 6), n=20, cin=1)
-    rows, found = t.rows_of(t.coords)
+    rows, found = rows_of(t, t.coords)
     assert found.all()
     np.testing.assert_array_equal(rows, np.arange(len(t)))
+    absent = np.array([c for c in np.ndindex(6, 6, 6) if c not in set(map(tuple, t.coords))])
+    outside = [[-1, 0, 0], [0, 6, 0], [5, 5, 6]]
+    assert not rows_of(t, np.concatenate([absent, outside]))[1].any()
 
 
 def test_duplicate_coords_rejected():
@@ -262,7 +293,7 @@ def rows_of_conv_pairs(t, out_coords, stride):
     """Reference conv rulebook: one rows_of binary search per tap."""
     pairs = []
     for off in sparse.KERNEL_OFFSETS:
-        rows, found = t.rows_of(out_coords * stride + off)
+        rows, found = rows_of(t, out_coords * stride + off)
         pairs.append((rows[found], np.nonzero(found)[0]))
     return pairs
 
@@ -272,7 +303,7 @@ def rows_of_up_pairs(coarse, fine_coords):
     pairs = []
     for off in sparse.KERNEL_OFFSETS:
         cand = fine_coords - off
-        rows, found = coarse.rows_of(cand // 2)
+        rows, found = rows_of(coarse, cand // 2)
         ok = (cand % 2 == 0).all(axis=1) & found
         pairs.append((rows[ok], np.nonzero(ok)[0]))
     return pairs
@@ -339,76 +370,80 @@ def assert_same_unique_pairs(got, want, n):
         assert len(np.unique(gout)) == len(gout)
 
 
-def up_rulebook(coarse, fine_coords, fine_shape):
-    """The rulebook upsample_conv3d builds and caches for these sites."""
-    sparse._RULEBOOK_CACHE.clear()
-    n_taps = len(sparse.live_taps(fine_shape, coarse.spatial_shape, 2))
-    sparse.upsample_conv3d(coarse, fine_coords, fine_shape,
-                           ad.Tensor(np.zeros((n_taps, coarse.num_channels, 1))),
-                           ad.Tensor(np.zeros(1)))
-    # the cache also holds the stride-2 relation the "up" entry is read off
-    (pairs, _size), = [entry for key, entry in sparse._RULEBOOK_CACHE.items() if key[0] == "up"]
-    return pairs
-
-
 def test_rulebooks_match_rows_of_reference():
     b = ad.Tensor(np.zeros(2))
     for t, other in rulebook_cases():
-        sparse._RULEBOOK_CACHE.clear()
         shape = t.spatial_shape
         coarse_shape = tuple(s // 2 for s in shape)
         down_taps = sparse.live_taps(shape, coarse_shape, 2)
         coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((len(down_taps), 2, 2))), b)
         for src in (t, coarse):
             taps = sparse.live_taps(src.spatial_shape, src.spatial_shape, 1)
-            sub = sparse._conv_pairs(src, src.coords, 1, src.spatial_shape)
+            sub = rulebook_of(sparse.submanifold_conv3d, src)
             want = live_part(rows_of_conv_pairs(src, src.coords, 1), taps)
             assert_same_unique_pairs(sub, want, len(src))
             # the centre offset's tap of a non-empty submanifold rulebook is the marker
             assert marked_taps(sub) == ([list(taps).index(13)] if len(src) else [])
-        down = sparse._conv_pairs(t, coarse.coords, 2, coarse.spatial_shape)
+        down = rulebook_of(sparse.strided_conv3d, t)
         want = live_part(rows_of_conv_pairs(t, coarse.coords, 2), down_taps)
         assert_same_unique_pairs(down, want, len(t))
         # elsewhere the marker stands exactly where the reference rows are the identity
         assert marked_taps(down) == identity_taps(want, len(t), len(coarse))
         # transposed conv onto the encoder's own fine sites, and onto an
         # unrelated fine coordinate set (coarse sites with no fine child)
-        for fine_coords in (t.coords, other):
-            up = up_rulebook(coarse, fine_coords, shape)
-            want = live_part(rows_of_up_pairs(coarse, fine_coords), down_taps)
+        for fine in (t, sites(other, shape)):
+            up = rulebook_of(sparse.upsample_conv3d, coarse, fine)
+            want = live_part(rows_of_up_pairs(coarse, fine.coords), down_taps)
             assert_same_unique_pairs(up, want, len(coarse))
-            assert marked_taps(up) == identity_taps(want, len(coarse), len(fine_coords))
+            assert marked_taps(up) == identity_taps(want, len(coarse), len(fine))
+
+
+def assert_same_rulebook(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        for ga, wa in zip(g or (), w or ()):
+            assert ga.dtype == wa.dtype
+            np.testing.assert_array_equal(ga, wa)
+
+
+def direct_up_rulebook(coarse, fine):
+    """fine = 2 * coarse + offset, built from the coarse side by _rulebook."""
+    taps = sparse.live_taps(fine.spatial_shape, coarse.spatial_shape, 2)
+    return sparse._rulebook(2 * coarse.coords, fine.coords, -sparse.KERNEL_OFFSETS[taps],
+                            np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape)))
 
 
 def test_derived_upsample_rulebook_equals_a_direct_build():
-    """The upsample pairs read off the stride-2 relation equal a direct build of
-    fine = 2 * coarse + offset from the coarse side, array for array and dtype for dtype."""
+    """The upsample pairs read off the stride-2 relation in the fine memo, and
+    those of fine sites whose relation was built toward another coarse set or
+    never built, equal a direct build array for array and dtype for dtype."""
     r = rng(29)
     cases = []
     for t, other in rulebook_cases():
         taps = sparse.live_taps(t.spatial_shape, tuple(s // 2 for s in t.spatial_shape), 2)
         coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((len(taps), 2, 2))),
                                        ad.Tensor(np.zeros(2)))
-        cases += [(coarse, t.coords, t.spatial_shape), (coarse, other, t.spatial_shape)]
+        # the child set itself, the same sites on a set of their own, and another set
+        alike = sparse.SparseVoxelTensor(coarse.coords, np.ones((len(coarse), 2)),
+                                         coarse.spatial_shape)
+        shifted = face_sparse(r, coarse.spatial_shape, 6)
+        cases += [(coarse, t, True), (alike, t, False), (shifted, t, False),
+                  (coarse, sites(other, t.spatial_shape), False)]
     # even fine sites, one per coarse site, in the same order: tap (0, 0, 0) is the marker
     even = face_sparse(r, (4, 4, 4), 20)
-    cases.append((even, 2 * even.coords, (8, 8, 8)))
+    cases.append((even, sites(2 * even.coords, (8, 8, 8)), False))
     # a fine grid one voxel high under a coarse one: no strided conv makes this pair
     cases.append((sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 0]]),
                                            r.normal(size=(2, 2)), (2, 2, 1)),
-                  np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]]), (4, 4, 1)))
+                  sites(np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]]), (4, 4, 1)),
+                  False))
     marked = []
-    for coarse, fine_coords, fine_shape in cases:
-        taps = sparse.live_taps(fine_shape, coarse.spatial_shape, 2)
-        got = up_rulebook(coarse, fine_coords, fine_shape)
-        want = sparse._rulebook(2 * coarse.coords, fine_coords, -sparse.KERNEL_OFFSETS[taps],
-                                np.maximum(fine_shape, 2 * np.array(coarse.spatial_shape)))
-        assert len(got) == len(want) == len(taps)
-        for g, w in zip(got, want):
-            assert (g is None) == (w is None)
-            for ga, wa in zip(g or (), w or ()):
-                assert ga.dtype == wa.dtype
-                np.testing.assert_array_equal(ga, wa)
+    for coarse, fine, child in cases:
+        got = rulebook_of(sparse.upsample_conv3d, coarse, fine)
+        assert (got is fine._memo.get(-2)) == child
+        assert len(got) == len(sparse.live_taps(fine.spatial_shape, coarse.spatial_shape, 2))
+        assert_same_rulebook(got, direct_up_rulebook(coarse, fine))
         marked.append(marked_taps(got))
     assert marked[-2] == [list(sparse.live_taps((8, 8, 8), (4, 4, 4), 2)).index(13)]
 
@@ -417,26 +452,28 @@ def test_strided_conv_and_its_upsample_build_the_stride_2_relation_once(monkeypa
     calls = []
     build = sparse._rulebook
     monkeypatch.setattr(sparse, "_rulebook", lambda *a: calls.append(a) or build(*a))
-    sparse._RULEBOOK_CACHE.clear()
     r = rng(30)
     t = face_sparse(r, (6, 8, 4), 40)
     taps = sparse.live_taps(t.spatial_shape, (3, 4, 2), 2)
     coarse = sparse.strided_conv3d(t, ad.Tensor(r.normal(size=(len(taps), 2, 3))),
                                    ad.Tensor(np.zeros(3)))
     assert len(calls) == 1
-    up = sparse.upsample_conv3d(coarse, t.coords, t.spatial_shape,
-                                ad.Tensor(r.normal(size=(len(taps), 3, 2))), ad.Tensor(np.zeros(2)))
-    assert len(calls) == 1 and len(sparse._RULEBOOK_CACHE) == 2
-    assert len(up) == len(t)
+    again = sparse.strided_conv3d(t.with_features(np.ones((len(t), 2))),
+                                  ad.Tensor(r.normal(size=(len(taps), 2, 3))),
+                                  ad.Tensor(np.zeros(3)))
+    assert again.coords is coarse.coords and again._memo is coarse._memo
+    for _ in range(2):
+        up = sparse.upsample_conv3d(coarse, t, ad.Tensor(r.normal(size=(len(taps), 3, 2))),
+                                    ad.Tensor(np.zeros(2)))
+    assert len(calls) == 1 and set(t._memo) == {2, -2} and coarse._memo == {}
+    assert len(up) == len(t) and up._memo is t._memo
 
 
 def test_upsample_rejects_bad_fine_sites_before_lookup():
-    coarse = sparse.SparseVoxelTensor(np.array([[1, 1, 1]]), np.ones((1, 2)), (2, 2, 2))
-    k = ad.Tensor(np.zeros((27, 2, 2)))
-    b = ad.Tensor(np.zeros(2))
+    """Fine sites are a tensor of their own: bad ones fail as it is built."""
     for fine_coords in ([[0, 0, 9]], [[-1, 0, 0]], [[2, 2, 2], [2, 2, 2]]):
         with pytest.raises(sparse.CoordinateError):
-            sparse.upsample_conv3d(coarse, np.array(fine_coords), (4, 4, 4), k, b)
+            sites(np.array(fine_coords), (4, 4, 4))
 
 
 def add_at_reference(feats, kernel, bias, pairs, n_out, g):
@@ -457,14 +494,14 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
     t = face_sparse(r, (6, 8, 4), 60, cin=3)
     k = ad.Tensor(r.normal(size=(27, 3, 3)))
     coarse = sparse.strided_conv3d(t, k, ad.Tensor(np.zeros(3)))
-    cases = [(t, sparse._conv_pairs(t, t.coords, 1, t.spatial_shape), len(t)),
-             (t, sparse._conv_pairs(t, coarse.coords, 2, coarse.spatial_shape), len(coarse)),
-             (coarse, up_rulebook(coarse, t.coords, t.spatial_shape), len(t))]
+    cases = [(t, rulebook_of(sparse.submanifold_conv3d, t), len(t)),
+             (t, rulebook_of(sparse.strided_conv3d, t), len(coarse)),
+             (coarse, rulebook_of(sparse.upsample_conv3d, coarse, t), len(t))]
     # relu-style features: negatives become -0.0, one channel entirely
     relu = t.features.data * (t.features.data > 0)
     relu[:, 1] = -0.0
     cases.append((sparse.SparseVoxelTensor(t.coords, relu, t.spatial_shape),
-                  sparse._conv_pairs(t, t.coords, 1, t.spatial_shape), len(t)))
+                  rulebook_of(sparse.submanifold_conv3d, t), len(t)))
     for src, pairs, n_out in cases:
         feats = ad.parameter(src.features.data.copy())
         kern = ad.parameter(r.normal(size=(27, 3, 4)))
@@ -482,7 +519,7 @@ def test_tap_matmul_scatter_bit_exact_on_real_rulebooks():
 def test_identity_tap_marker_matches_its_expanded_rows_byte_for_byte(cin, cout):
     r = rng(23)
     t = face_sparse(r, (16, 16, 8), 900, cin=cin)
-    pairs = sparse._conv_pairs(t, t.coords, 1, t.spatial_shape)
+    pairs = rulebook_of(sparse.submanifold_conv3d, t)
     assert pairs[13] is None
     relu = t.features.data * (t.features.data > 0)    # -0.0 where negative
     relu[:5] = -0.0
@@ -517,36 +554,40 @@ def test_strided_and_upsample_reject_wrong_kernel_shapes(conv):
             if conv == "strided":
                 sparse.strided_conv3d(t, kernel, bias)
             else:
-                sparse.upsample_conv3d(coarse, t.coords, t.spatial_shape, kernel, bias)
+                sparse.upsample_conv3d(coarse, t, kernel, bias)
 
 
 def test_rulebook_cache_stays_within_its_byte_budget(monkeypatch):
-    budget = 20_000
-    monkeypatch.setattr(sparse, "_RULEBOOK_CACHE", {})
-    monkeypatch.setattr(sparse, "_RULEBOOK_CACHE_BYTES", budget)
-    cache = sparse._RULEBOOK_CACHE
-
-    def rebuild():
-        raise AssertionError("a hit must not rebuild")
-
+    """Frame memos leave least recently used first, by their measured bytes; a
+    held frame builds nothing, and one built again gives the same pairs."""
+    budget = 8_000
+    monkeypatch.setattr(sparse, "_FRAMES", {})
+    monkeypatch.setattr(sparse, "_FRAME_CACHE_BYTES", budget)
+    frames = sparse._FRAMES
+    calls = []
+    build = sparse._rulebook
+    monkeypatch.setattr(sparse, "_rulebook", lambda *a: calls.append(a) or build(*a))
     r = rng(5)
-    order = []                                      # least recently used first
-    for i in range(60):
-        n = int(r.integers(0, 150))
-        order.append(key := ("conv", (8, 8, 8), 1, np.arange(n).tobytes(), bytes([i])))
-        pairs = [(np.arange(n), np.arange(n))] * 2
-        before = len(cache)
-        assert sparse._cached(key, lambda: pairs) is pairs
-        assert cache[key][1] == 8 * n + 1 + 4 * 8 * n   # key bytes plus index arrays
-        assert len(cache) != before                 # the bench counts misses by this
-        assert list(cache) == order[-len(cache):]   # the newest stays, the stalest go
-        assert sum(size for _, size in cache.values()) <= budget
-        stalest = next(iter(cache))
-        want = cache[stalest][0]
-        assert sparse._cached(stalest, rebuild) is want
-        order.remove(stalest)
-        order.append(stalest)
-    assert len(cache) < 60
+    shape = (8, 8, 4)
+    sets = [face_sparse(r, shape, int(n)).coords for n in r.integers(1, 40, size=10)]
+    keys = [(shape, sparse.pack_coords(c, shape).tobytes()) for c in sets]
+    first, order, rebuilt = {}, [], 0
+    for i in r.integers(0, len(sets), size=80):
+        held = keys[i] in frames
+        t = sparse.frame_tensor(sets[i], np.ones((len(sets[i]), 2)), shape)
+        order = [j for j in order if j != i] + [i]
+        assert list(frames) == [keys[j] for j in order[-len(frames):]]   # the stalest go
+        measured = [len(key[1]) + sparse._memo_bytes(memo)
+                    for key, (memo, _size) in list(frames.items())[:-1]]
+        assert measured == [size for _memo, size in list(frames.values())[:-1]]
+        assert sum(measured) <= budget
+        before = len(calls)
+        pairs = [rulebook_of(sparse.submanifold_conv3d, t), rulebook_of(sparse.strided_conv3d, t)]
+        assert len(calls) - before == (0 if held else 2)
+        rebuilt += not held and i in first
+        for got, want in zip(pairs, first.setdefault(i, pairs)):
+            assert_same_rulebook(got, want)
+    assert rebuilt > 5 and len(frames) < len(sets)
 
 
 # -- live taps -------------------------------------------------------------------
@@ -585,7 +626,7 @@ def test_convs_with_dropped_taps_equal_the_full_kernel_reference(seed):
     dense = dense_conv_oracle(coarse, full_c, b.data)
     for row, (x, y, z) in enumerate(sub.coords):
         np.testing.assert_allclose(sub.features.data[row], dense[x, y, z], atol=1e-12)
-    up = sparse.upsample_conv3d(coarse, t.coords, t.spatial_shape,
+    up = sparse.upsample_conv3d(coarse, t,
                                 ad.Tensor(full_c[sparse.live_taps((6, 4, 2), (3, 2, 1), 2)]), b)
     np.testing.assert_allclose(up.features.data, upsample_reference(coarse, t.coords, full_c, b.data),
                                atol=1e-12)
@@ -597,22 +638,31 @@ def upsample_reference(coarse, fine_coords, full, bias):
     for fi, f in enumerate(fine_coords):
         for tap, off in enumerate(sparse.KERNEL_OFFSETS):
             cand = f - off
-            rows, found = coarse.rows_of(cand // 2)
+            rows, found = rows_of(coarse, cand // 2)
             if (cand % 2 == 0).all() and found[0]:
                 out[fi] += coarse.features.data[rows[0]] @ full[tap]
     return out
 
 
-def test_upsample_rulebook_cache_tells_fine_grid_heights_apart():
+def test_upsample_rulebook_cache_tells_fine_grid_heights_apart(monkeypatch):
+    """The same sites on grids of two heights pack to the same key bytes; the
+    frame cache still gives each grid its own memo."""
+    monkeypatch.setattr(sparse, "_FRAMES", {})
     r = rng(28)
     coarse = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 0]]), r.normal(size=(2, 2)),
                                       (2, 2, 1))
-    fine = np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]])
+    fine_coords = np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]])
     full, bias = r.normal(size=(27, 2, 3)), np.zeros(3)
-    sparse._RULEBOOK_CACHE.clear()
     for fine_shape in ((4, 4, 2), (4, 4, 1)):   # 18 live taps, then 9
+        fine = sparse.frame_tensor(fine_coords, r.normal(size=(4, 2)), fine_shape)
+        sub = sparse.submanifold_conv3d(
+            fine, ad.Tensor(full[sparse.live_taps(fine_shape, fine_shape, 1)]), ad.Tensor(bias))
+        dense = dense_conv_oracle(fine, full, bias)
+        for row, (x, y, z) in enumerate(fine_coords):
+            np.testing.assert_allclose(sub.features.data[row], dense[x, y, z], atol=1e-12)
         taps = sparse.live_taps(fine_shape, coarse.spatial_shape, 2)
-        out = sparse.upsample_conv3d(coarse, fine, fine_shape, ad.Tensor(full[taps]),
-                                     ad.Tensor(bias))
+        out = sparse.upsample_conv3d(coarse, fine, ad.Tensor(full[taps]), ad.Tensor(bias))
         np.testing.assert_allclose(out.features.data,
-                                   upsample_reference(coarse, fine, full, bias), atol=1e-12)
+                                   upsample_reference(coarse, fine_coords, full, bias),
+                                   atol=1e-12)
+    assert len(sparse._FRAMES) == 2
