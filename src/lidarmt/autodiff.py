@@ -440,44 +440,45 @@ def bilinear_sample(maps: Tensor, uv: Tensor, slice_id: np.ndarray) -> Tensor:
 
     `uv` is (N, 2) with u indexing the W axis and v the H axis; integer
     coordinates hit stored cells exactly. `slice_id` (N,) picks the map each
-    sample reads. Out-of-bounds corners contribute zero, and the gradient
-    w.r.t. `uv` follows the interpolation formula (kinked at cell edges).
+    sample reads. Out-of-bounds corners contribute zero, a NaN or infinite
+    location gives a NaN row, and the gradient w.r.t. `uv` follows the
+    interpolation formula (kinked at cell edges).
+    Each corner's rows are taken once and scaled in place by `wgt * ok`, the
+    in-bounds mask folded into the weight: weights are >= 0, so for finite maps
+    v*(wgt*ok) equals wgt*(v*ok) bit for bit, signed zeros included. Corners
+    add in order from +0.0, as sum() does. The tape keeps (4, N) cells, masks
+    and weights, and the uv gradient takes the corner rows again.
     """
     j, hgt, wid, c = maps.data.shape
-    u = uv.data[:, 0]
-    v = uv.data[:, 1]
-    u0f = np.floor(u)
-    v0f = np.floor(v)
-    du = u - u0f
-    dv = v - v0f
-    u0 = u0f.astype(np.int64)
-    v0 = v0f.astype(np.int64)
-
-    corners = []
-    for (cu, cv, wgt) in (
-        (u0, v0, (1 - du) * (1 - dv)),
-        (u0 + 1, v0, du * (1 - dv)),
-        (u0, v0 + 1, (1 - du) * dv),
-        (u0 + 1, v0 + 1, du * dv),
-    ):
-        ok = (cu >= 0) & (cu < wid) & (cv >= 0) & (cv < hgt)
-        cuc = np.clip(cu, 0, wid - 1)
-        cvc = np.clip(cv, 0, hgt - 1)
-        val = maps.data[slice_id, cvc, cuc] * ok[:, None]
-        corners.append((cuc, cvc, ok, wgt, val))
-
-    out = sum(w[:, None] * val for (_, _, _, w, val) in corners)
+    u, v = uv.data[:, 0], uv.data[:, 1]
+    u0f, v0f = np.floor(u), np.floor(v)
+    with np.errstate(invalid="ignore"):   # a non-finite location: NaN weights, junk corners
+        du, dv = u - u0f, v - v0f
+        u0, v0 = u0f.astype(np.int64), v0f.astype(np.int64)
+    cu, cv = np.stack([u0, u0 + 1, u0, u0 + 1]), np.stack([v0, v0, v0 + 1, v0 + 1])
+    ok = (cu >= 0) & (cu < wid) & (cv >= 0) & (cv < hgt)            # (4, N)
+    wok = np.stack([(1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv]) * ok
+    cells = (slice_id * hgt + np.clip(cv, 0, hgt - 1)) * wid + np.clip(cu, 0, wid - 1)
+    rows = maps.data.reshape(-1, c)
+    out = rows.take(cells[0], axis=0)
+    out *= wok[0][:, None]
+    out += 0.0   # sum()'s start: a -0.0 first term reads +0.0
+    for k in range(1, 4):
+        val = rows.take(cells[k], axis=0)
+        val *= wok[k][:, None]
+        out += val
 
     def vjp(g):
         gm = guv = None
         if maps.requires_grad:   # sums each cell in corner, then sample order, like np.add.at
-            cells = np.concatenate([(slice_id * hgt + cvc) * wid + cuc for (cuc, cvc, *_) in corners])
-            terms = np.concatenate([g * (wgt * ok)[:, None] for (_, _, ok, wgt, _) in corners])
-            gm = np.bincount((cells[:, None] * c + np.arange(c)).ravel(), terms.ravel(),
+            gm = np.bincount((cells.reshape(-1, 1) * c + np.arange(c)).ravel(),
+                             (g * wok[:, :, None]).ravel(),
                              minlength=maps.data.size).reshape(maps.data.shape)
         if uv.requires_grad:
-            guv = np.zeros_like(uv.data)
-            (_, _, ok00, _, f00), (_, _, ok10, _, f10), (_, _, ok01, _, f01), (_, _, ok11, _, f11) = corners
+            guv = np.empty_like(uv.data)
+            f = rows.take(cells, axis=0)
+            f *= ok[:, :, None]   # the masked corner values
+            f00, f10, f01, f11 = f
             # d out / d du and d out / d dv from the interpolation weights
             d_du = (f10 - f00) * (1 - dv)[:, None] + (f11 - f01) * dv[:, None]
             d_dv = (f01 - f00) * (1 - du)[:, None] + (f11 - f10) * du[:, None]

@@ -213,7 +213,7 @@ def dense_to_sparse(bev: ad.Tensor, coords: np.ndarray, p: CrossSpaceParams,
     slices = ad.transpose(dense3d, (1, 2, 3, 0))             # (J, H, W, C)
     q = ad.gather(slices, (coords[:, 2], coords[:, 1], coords[:, 0]))
     refs = coords[:, :2].astype(np.float64)
-    meta = coords.astype(np.float64)
+    meta = coords.astype(np.float64) if collector is not None else None
     for blk in p.d2s_blocks:
         qn = ad.layer_norm(q)
         q = q + mh_deform_attn(qn, refs, slices, blk.attn, collector, meta)
@@ -232,7 +232,7 @@ def sparse_to_dense(t: SparseVoxelTensor, p: CrossSpaceParams,
     q = ad.reshape(slices, (d * h * w, c))
     uvh = unpack_coords(np.arange(d * h * w), t.spatial_shape)
     refs = uvh[:, :2].astype(np.float64)
-    meta = uvh.astype(np.float64)
+    meta = uvh.astype(np.float64) if collector is not None else None
     q = q + ad.gather_rows(p.pos_emb, pack_coords(uvh[:, :2], (w, h)))
     for blk in p.s2d_blocks:
         qn = ad.layer_norm(q)

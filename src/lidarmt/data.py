@@ -384,16 +384,6 @@ def augment(sample: SceneSample, params: AugmentParams) -> SceneSample:
                        boxes=boxes, frame_id=sample.frame_id)
 
 
-def inverse_augment_params(params: AugmentParams) -> list[AugmentParams]:
-    """Parameter sequence undoing augment() (scale, rotation, then flips)."""
-    return [
-        AugmentParams(scale=1.0 / params.scale),
-        AugmentParams(rotation=-params.rotation),
-        AugmentParams(flip_y=params.flip_y),
-        AugmentParams(flip_x=params.flip_x),
-    ]
-
-
 # -- dataset files ------------------------------------------------------------
 
 def write_dataset(samples: list[SceneSample], path) -> None:

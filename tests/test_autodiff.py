@@ -342,6 +342,66 @@ def test_bilinear_out_of_bounds_corners_are_zero():
     np.testing.assert_allclose(out.data[:, 0], [0.5, 0.25])
 
 
+def _bilinear_sample_reference(maps, uv, slice_id, g):
+    """The three-index-gather form: masked corner values, weighted, sum() over
+    corners, and the uv gradient from differences of the masked corners.
+    Returns the weighted corner terms, out and the uv grad."""
+    _, hgt, wid, _ = maps.shape
+    u0f, v0f = np.floor(uv[:, 0]), np.floor(uv[:, 1])
+    du, dv = uv[:, 0] - u0f, uv[:, 1] - v0f
+    u0, v0 = u0f.astype(np.int64), v0f.astype(np.int64)
+    vals, terms = [], []
+    for cu, cv, wgt in ((u0, v0, (1 - du) * (1 - dv)), (u0 + 1, v0, du * (1 - dv)),
+                        (u0, v0 + 1, (1 - du) * dv), (u0 + 1, v0 + 1, du * dv)):
+        ok = (cu >= 0) & (cu < wid) & (cv >= 0) & (cv < hgt)
+        vals.append(maps[slice_id, np.clip(cv, 0, hgt - 1), np.clip(cu, 0, wid - 1)] * ok[:, None])
+        terms.append(wgt[:, None] * vals[-1])
+    f00, f10, f01, f11 = vals
+    d_du = (f10 - f00) * (1 - dv)[:, None] + (f11 - f01) * dv[:, None]
+    d_dv = (f01 - f00) * (1 - du)[:, None] + (f11 - f10) * du[:, None]
+    return terms, sum(terms), np.stack([(g * d_du).sum(axis=1), (g * d_dv).sum(axis=1)], axis=1)
+
+
+@pytest.mark.parametrize("c", [3, 64])
+def test_bilinear_sample_bytes_match_the_three_index_gather_form(c):
+    r = rng(31)
+    same = lambda a, b: np.array_equal(a.view(np.int64), b.view(np.int64))
+    all_neg_zero = 0   # samples whose four terms are all -0.0: only the +0.0 start makes them +0.0
+    for _ in range(12):
+        j, h, w, n = 3, 4, 5, 80
+        maps = r.integers(-2, 3, size=(j, h, w, c)) * np.where(r.random((j, h, w, c)) < 0.5,
+                                                               1.0, -1.0)   # +-0.0 cells
+        maps[0] = r.normal(size=(h, w, c))
+        uv = r.uniform(-1.5, [w + 0.5, h + 0.5], size=(n, 2))   # corners off the map
+        uv[: n // 3] = np.round(uv[: n // 3])                     # integer hits: zero weights
+        uv[n // 3: n // 2, 0] = np.round(uv[n // 3: n // 2, 0])
+        sid = r.integers(0, j, size=n)
+        g = r.normal(size=(n, c))
+        terms, want_out, want_guv = _bilinear_sample_reference(maps, uv, sid, g)
+        want_gm = _bilinear_maps_grad_add_at(maps, uv, sid, g)
+        all_neg_zero += np.all([(t == 0) & np.signbit(t) for t in terms], axis=0).sum()
+        with ad.no_grad():
+            assert same(ad.bilinear_sample(ad.Tensor(maps), ad.Tensor(uv), sid).data, want_out)
+        tm, tuv = ad.parameter(maps), ad.parameter(uv)
+        out = ad.bilinear_sample(tm, tuv, sid)
+        assert same(out.data, want_out)
+        ad.mul(out, ad.constant(g)).sum().backward()
+        assert same(tm.grad, want_gm) and same(tuv.grad, want_guv)
+    assert all_neg_zero > 0
+
+
+def test_bilinear_non_finite_location_is_a_nan_row_without_warnings():
+    maps = ad.parameter(np.ones((1, 3, 3, 2)))
+    uv = ad.parameter([[np.nan, 1.0], [1.2, 0.5], [np.inf, 0.0], [0.5, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.bilinear_sample(maps, uv, np.zeros(4, dtype=int))
+        out.sum().backward()
+    assert np.isnan(out.data[[0, 2, 3]]).all()
+    np.testing.assert_array_equal(out.data[1], [1.0, 1.0])
+    assert np.isnan(uv.grad[[0, 2, 3]]).any(axis=1).all() and np.isfinite(uv.grad[1]).all()
+
+
 def test_conv2d_matches_manual_and_grads():
     r = rng(13)
     x = ad.parameter(r.normal(size=(2, 5, 5)))

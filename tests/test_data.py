@@ -230,11 +230,21 @@ def test_augment_rotation_quarter_turn():
     np.testing.assert_allclose(out.points[0, :3], [0.0, 1.0, 0.5], atol=1e-6)
 
 
+def inverse_augment_params(params: data.AugmentParams) -> list[data.AugmentParams]:
+    """Parameter sequence undoing augment() (scale, rotation, then flips)."""
+    return [
+        data.AugmentParams(scale=1.0 / params.scale),
+        data.AugmentParams(rotation=-params.rotation),
+        data.AugmentParams(flip_y=params.flip_y),
+        data.AugmentParams(flip_x=params.flip_x),
+    ]
+
+
 def test_augment_inverse_restores_coordinates():
     s = data.generate_scene(8, small_spec())
     params = data.AugmentParams(flip_x=True, flip_y=True, rotation=0.3, scale=1.04)
     out = data.augment(s, params)
-    for inv in data.inverse_augment_params(params):
+    for inv in inverse_augment_params(params):
         out = data.augment(out, inv)
     np.testing.assert_allclose(out.points[:, :3], s.points[:, :3], atol=1e-5)
 
