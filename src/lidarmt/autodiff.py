@@ -342,15 +342,18 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Standardize over the last axis. Non-affine by design. One tape node: the
-    closed-form vjp of Ba et al. (arXiv 1607.06450) keeps only `out` and `r`."""
-    n = x.data.shape[-1]   # means are sum / n: np.mean's bytes without its wrapper
-    out = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    r = ((out * out).sum(axis=-1, keepdims=True) / n + eps) ** -0.5
+    closed-form vjp of Ba et al. (arXiv 1607.06450) keeps only `out` and `r`.
+    Its four row sums are np.einsum loops: no BLAS, no temporary, each row on its
+    own, so a block of rows gets the whole-array bytes (for one memory layout). They
+    round unlike np.mean's pairwise sum: within 8 eps (1 + |mean|/std) of out's scale."""
+    n = x.data.shape[-1]
+    out = x.data - np.einsum("...i->...", x.data)[..., None] / n
+    r = (np.einsum("...i,...i->...", out, out)[..., None] / n + eps) ** -0.5
     out *= r
 
     def vjp(g):
-        d = g - g.sum(axis=-1, keepdims=True) / n
-        d -= out * ((g * out).sum(axis=-1, keepdims=True) / n)
+        d = g - np.einsum("...i->...", g)[..., None] / n
+        d -= out * (np.einsum("...i,...i->...", g, out)[..., None] / n)
         d *= r
         return (d,)
 

@@ -184,8 +184,13 @@ def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
                        bias: ad.Tensor) -> SparseVoxelTensor:
     """3x3x3 sparse convolution whose output sites equal the input sites."""
     shape = t.spatial_shape
-    pairs = _memoized(t._memo, 1, lambda: _rulebook(
-        t.coords, t.coords, KERNEL_OFFSETS[live_taps(shape, shape, 1)], shape))
+    taps = live_taps(shape, shape, 1)
+
+    def build():   # live offsets are symmetric and sorted: tap T-1-t is tap t swapped
+        half = _rulebook(t.coords, t.coords, KERNEL_OFFSETS[taps[:len(taps) // 2 + 1]], shape)
+        return half + [_swap(pair) for pair in half[-2::-1]]
+
+    pairs = _memoized(t._memo, 1, build)
     out = ad.tap_matmul_scatter(t.features, kernel, pairs, len(t), bias)
     return t.with_features(out)
 

@@ -89,25 +89,60 @@ def _layer_norm_composed(x, eps=1e-6):
     return ad.mul(centered, ad.power(ad.add(var, ad.constant(eps)), -0.5))
 
 
+def _row_sum(a):
+    return np.einsum("...i->...", a)[..., None]
+
+
+def _row_dot(a, b):
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 32, 128, 129])
 def test_layer_norm_bytes_match_textbook_np_mean_form(width):
-    """Across numpy's pairwise-sum block boundaries, forward and vjp equal the
-    np.mean form in every bit, and the vjp leaves its incoming grad alone."""
+    """Across the sums' unrolling and block boundaries, forward and vjp equal the
+    textbook mean form, its means taken from the same einsum row sums, in every
+    bit, and the vjp leaves its incoming grad alone."""
     r = rng(25)
     data = r.normal(size=(37, width)) * np.exp(r.normal(size=(37, 1)))
     g = r.normal(size=data.shape)
     g_before = g.copy()
-    c = data - data.mean(axis=-1, keepdims=True)
-    rs = ((c * c).mean(axis=-1, keepdims=True) + 1e-6) ** -0.5
+    c = data - _row_sum(data) / width
+    rs = (_row_dot(c, c) / width + 1e-6) ** -0.5
     want = c * rs
-    want_grad = rs * (g - g.mean(axis=-1, keepdims=True)
-                      - want * (g * want).mean(axis=-1, keepdims=True))
+    want_grad = rs * (g - _row_sum(g) / width - want * (_row_dot(g, want) / width))
     x = ad.parameter(data.copy())
     y = ad.layer_norm(x)
     y.backward(g)
     assert np.array_equal(y.data.view(np.int64), want.view(np.int64))
     assert np.array_equal(x.grad.view(np.int64), want_grad.view(np.int64))
     assert np.array_equal(g.view(np.int64), g_before.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 32, 64, 128, 129])
+def test_layer_norm_rows_are_independent(width):
+    """Forward and vjp bytes of any block of rows, one row included, equal the
+    matching rows of the whole-array call, on 2-D and 3-D inputs."""
+    r = rng(26)
+    data = r.normal(size=(300, width)) * np.exp(r.normal(size=(300, 1))) + r.normal(size=(300, 1))
+    g = r.normal(size=data.shape)
+
+    def run(a, ga):
+        x = ad.parameter(a.copy())
+        y = ad.layer_norm(x)
+        y.backward(ga.copy())
+        return y.data.view(np.int64), x.grad.view(np.int64)
+
+    whole = run(data, g)
+    for block in (slice(0, 1), slice(7, 8), slice(299, 300), slice(3, 150), slice(150, 300)):
+        for got, want in zip(run(data[block], g[block]), whole):
+            assert np.array_equal(got, want[block])
+    cube, g3 = data.reshape(3, 100, width), g.reshape(3, 100, width)
+    whole3 = run(cube, g3)
+    for got, want in zip(whole3, whole):
+        assert np.array_equal(got.reshape(want.shape), want)
+    for block in ((slice(1, 2),), (slice(0, 3), slice(40, 41)), (slice(2, 3), slice(5, 70))):
+        for got, want in zip(run(cube[block], g3[block]), whole3):
+            assert np.array_equal(got, want[block])
 
 
 _BASE = rng(18).normal(size=(40, 24))
@@ -136,9 +171,13 @@ def test_layer_norm_matches_composed_form(regime):
             ad.mul(y, ad.constant(g)).sum().backward()
             results.append((y.data, x.grad))
     (out, grad), (ref_out, ref_grad) = results
-    assert np.array_equal(out.view(np.int64), ref_out.view(np.int64))
+    # the einsum row sums round differently from np.mean's; the gap grows as rows cancel
+    mean, std = np.abs(data.mean(axis=-1)), data.std(axis=-1)
+    gap = np.abs(out - ref_out).max(axis=-1, initial=0.0)
+    scale = np.abs(ref_out).max(initial=0.0)
+    assert (gap * std <= 8 * np.finfo(float).eps * (std + mean) * scale).all()
     # where |mean| >> std both forms cancel, and their gradients differ by that
-    rows = np.abs(data.mean(axis=-1)) <= 10 * data.std(axis=-1)
+    rows = mean <= 10 * std
     if rows.any():
         err = np.abs(grad - ref_grad)[rows].max()
         assert err <= 1e-13 * np.abs(ref_grad).max()

@@ -448,6 +448,23 @@ def test_derived_upsample_rulebook_equals_a_direct_build():
     assert marked[-2] == [list(sparse.live_taps((8, 8, 8), (4, 4, 4), 2)).index(13)]
 
 
+def test_mirrored_submanifold_rulebook_equals_a_full_lookup():
+    """Taps past the centre, read off their mirror taps, equal a lookup at every
+    live offset array for array: sorted and shuffled sites, size-1 axes, empty sets."""
+    r = rng(31)
+    for case in range(300):
+        shape = tuple(int(s) for s in r.choice([1, 1, 2, 3, 5, 8], size=3))
+        cells = int(np.prod(shape))
+        keys = r.choice(cells, size=int(r.integers(0, min(cells, 40) + 1)), replace=False)
+        if case % 2:
+            keys = np.sort(keys)
+        t = sites(sparse.unpack_coords(keys, shape), shape)
+        taps = sparse.live_taps(shape, shape, 1)
+        got = rulebook_of(sparse.submanifold_conv3d, t)
+        assert_same_rulebook(got, sparse._rulebook(t.coords, t.coords,
+                                                   sparse.KERNEL_OFFSETS[taps], shape))
+
+
 def test_strided_conv_and_its_upsample_build_the_stride_2_relation_once(monkeypatch):
     calls = []
     build = sparse._rulebook
