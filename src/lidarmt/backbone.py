@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .sparse import (SparseVoxelTensor, CoordinateError, live_taps,
+from .sparse import (SparseVoxelTensor, live_taps,
                      submanifold_conv3d, strided_conv3d, upsample_conv3d)
 
 
@@ -141,12 +141,8 @@ def encode(t: SparseVoxelTensor, p: EncoderParams) -> list[SparseVoxelTensor]:
 
 def decode(scales: list[SparseVoxelTensor], injected: SparseVoxelTensor,
            p: DecoderParams) -> SparseVoxelTensor:
-    """Upsample the injected 1/8 tensor back to full resolution along the
-    encoder's coordinate sets, concatenating skip features at each scale."""
-    if injected.spatial_shape != scales[3].spatial_shape or \
-            len(injected) != len(scales[3]) or \
-            not np.array_equal(injected.coords, scales[3].coords):
-        raise CoordinateError("injected tensor must sit on the encoder's 1/8 coords")
+    """Upsample the injected 1/8 tensor, on scales[3]'s sites, back to full resolution
+    along the encoder's coordinate sets, concatenating skip features at each scale."""
     x = injected
     for i, lvl in enumerate((2, 1, 0)):
         skip = scales[lvl]

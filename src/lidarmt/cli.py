@@ -19,12 +19,12 @@ from .data import SceneSpec
 
 
 def _parse_seed_range(text: str) -> range:
-    """`a..b` is inclusive on both ends; a bare integer is a single seed."""
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return range(int(a), int(b) + 1)
-    s = int(text)
-    return range(s, s + 1)
+    """`a..b` with b >= a is inclusive on both ends; a bare integer is a single seed."""
+    a, _, b = text.partition("..")
+    seeds = range(int(a), int(b or a) + 1)
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}: {b} is below {a}")
+    return seeds
 
 
 def scene_spec_from_config(cfg: dict) -> SceneSpec:

@@ -66,6 +66,9 @@ class ConfigError(Exception):
     pass
 
 
+_KINDS = {bool: "true/false", int: "an integer", float: "a number", str: "a string"}
+
+
 def parse_value(text: str):
     text = text.strip()
     if text.lower() in ("true", "false"):
@@ -108,19 +111,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def _coerce(key: str, value, default):
-    """Nudge parsed values toward the default's type where it is safe."""
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key}: expected true/false")
-        return value
-    if isinstance(default, float) and isinstance(value, int):
-        return float(value)
+    """`value` typed as `default`: an int widens to a float and a bare value
+    to a 1-tuple (e.g. one MLP layer); any other mismatch is a ConfigError."""
     if isinstance(default, tuple):
-        if not isinstance(value, tuple):
-            value = (value,)  # a bare number is a 1-tuple (e.g. one MLP layer)
-        if isinstance(default[0], float):
-            return tuple(float(x) for x in value)
-        return value
+        return tuple(_coerce(key, x, default[0])
+                     for x in (value if isinstance(value, tuple) else (value,)))
+    if isinstance(default, float) and type(value) is int:
+        value = float(value)
+    if not isinstance(value, type(default)) or isinstance(value, bool) != isinstance(default, bool):
+        raise ConfigError(f"{key}: expected {_KINDS[type(default)]}, got {value!r}")
     return value
 
 

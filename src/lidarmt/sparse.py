@@ -13,9 +13,11 @@ rows of every output site at every live tap.
 Rulebooks belong to their coordinate set, as in Minkowski Engine's coordinate
 manager: every tensor on one set (`with_features`) shares its memo, built once.
 A strided conv memoizes the child set's sites, the stride-2 relation and the
-child's own memo, so a frame's sites form a pyramid of memos, and the
-transposed conv from that child back onto these sites reads the relation with
-each tap's rows swapped. `frame_tensor` keeps the pyramids of recent frames.
+child's own memo, so a frame's sites form a pyramid of memos. The transposed
+conv back onto these sites takes that child alone (any other coarse set is a
+CoordinateError) and reads the relation with each tap's rows swapped.
+`frame_tensor` keeps the pyramids of recent frames within a budget on the
+bytes of their site keys.
 
 Convolutions are cross-correlations, out[p] = sum_t K[t] . in[p + off_t], with a
 (T, Cin, Cout) kernel over the T live taps (`live_taps`): the offsets in {-1, 0, 1}^3
@@ -111,28 +113,17 @@ def _on_sites(coords, keys, shape, memo, features) -> SparseVoxelTensor:
 
 
 def _memoized(memo: dict, key, build):
+    # keys: 1 the submanifold rulebook, 2 the child set (`_child`), -2 the transposed relation
     if key not in memo:
         memo[key] = build()
     return memo[key]
 
 
-def _memo_bytes(memo: dict) -> int:
-    """Bytes of the index arrays a memo holds, its child sets' memos included.
-    Keys: 1 the submanifold rulebook; 2 (child coords, child keys, stride-2
-    rulebook, child memo); -2 the stride-2 rulebook transposed onto these sites."""
-    size = 0
-    for key, pairs in memo.items():
-        if key == 2:
-            coords, keys, pairs, child = pairs
-            size += coords.nbytes + keys.nbytes + _memo_bytes(child)
-        size += sum(a.nbytes + b.nbytes for a, b in filter(None, pairs))
-    return size
-
-
-# A frame's rulebooks repeat whenever its voxels do (a revisited scene); the
-# memos of recent frames stay, least recently used first, within a byte budget.
-_FRAMES: dict = {}               # (shape, key bytes) -> [memo, bytes when last measured]
-_FRAME_CACHE_BYTES = 8 << 20     # 4x what 8 default scenes hold; more adds page faults
+# A frame's rulebooks repeat whenever its voxels do (a revisited scene); the memos of
+# recent frames stay, least recently used first, while their int64 keys fit a budget:
+# on the bench configs a frame's rulebooks take 36-39 bytes per key byte.
+_FRAMES: dict = {}               # (shape, key bytes) -> memo
+_FRAME_KEY_BYTES = 224 << 10     # about 8 MB of rulebooks; 4x what 8 default scenes hold
 
 
 def frame_tensor(coords: np.ndarray, features, spatial_shape: tuple) -> SparseVoxelTensor:
@@ -140,15 +131,9 @@ def frame_tensor(coords: np.ndarray, features, spatial_shape: tuple) -> SparseVo
     recent frame on the same sites."""
     t = SparseVoxelTensor(coords, features, spatial_shape)
     key = (t.spatial_shape, t._keys.tobytes())
-    if _FRAMES:     # the previous frame's convs have run: measure what it holds now
-        last = next(reversed(_FRAMES))
-        _FRAMES[last][1] = len(last[1]) + _memo_bytes(_FRAMES[last][0])
-    entry = _FRAMES.pop(key, None) or [{}, len(key[1])]
-    _FRAMES[key] = entry    # most recently used last
-    held = sum(size for _memo, size in _FRAMES.values())
-    while held > _FRAME_CACHE_BYTES:
-        held -= _FRAMES.pop(next(iter(_FRAMES)))[1]
-    t._memo = entry[0]
+    t._memo = _FRAMES[key] = _FRAMES.pop(key, {})    # most recently used last
+    while sum(len(k[1]) for k in _FRAMES) > _FRAME_KEY_BYTES:
+        del _FRAMES[next(iter(_FRAMES))]
     return t
 
 
@@ -221,15 +206,13 @@ def strided_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,
 
 def upsample_conv3d(coarse: SparseVoxelTensor, fine: SparseVoxelTensor,
                     kernel: ad.Tensor, bias: ad.Tensor) -> SparseVoxelTensor:
-    """Transposed counterpart of strided_conv3d onto the sites of `fine`:
-    fine[f] += K[t] . coarse[o] wherever 2o + t = f."""
+    """Transposed counterpart of strided_conv3d(fine) onto the sites of `fine`:
+    fine[f] += K[t] . coarse[o] wherever 2o + t = f. `coarse` must lie on the
+    sites that strided_conv3d made from `fine`; its pairs are read off that relation."""
     child = fine._memo.get(2)
-    if child is not None and child[3] is coarse._memo:   # coarse was strided from fine
-        pairs = _memoized(fine._memo, -2, lambda: [_swap(pair) for pair in child[2]])
-    else:
-        taps = live_taps(fine.spatial_shape, coarse.spatial_shape, 2)
-        pairs = _rulebook(2 * coarse.coords, fine.coords, -KERNEL_OFFSETS[taps],
-                          np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape)))
+    if child is None or child[3] is not coarse._memo:
+        raise CoordinateError("coarse sites were not strided from these fine sites")
+    pairs = _memoized(fine._memo, -2, lambda: [_swap(pair) for pair in child[2]])
     out = ad.tap_matmul_scatter(coarse.features, kernel, pairs, len(fine), bias)
     return fine.with_features(out)
 

@@ -2,10 +2,19 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lidarmt import autodiff as ad  # noqa: E402
+from lidarmt import sparse  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def empty_frame_cache(monkeypatch):
+    """Each test starts with no frame memo cached: no test reads rulebooks
+    that an earlier one built."""
+    monkeypatch.setattr(sparse, "_FRAMES", {})
 
 
 def central_diff(f, tensors, eps=1e-6):

@@ -240,10 +240,12 @@ def test_criterion_3_gradient_suite():
     w_str = ad.constant(r.normal(size=(n_str, 3)))
     check_grads(lambda: ad.mul(sparse.strided_conv3d(t, k3, b3).features,
                                w_str).sum(), [t.features, k3, b3])
-    fine = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [2, 2, 2], [3, 2, 1]]),
+    # the upsample runs back onto the fine sites its coarse sites were strided from
+    fine = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [2, 2, 2], [3, 2, 3]]),
                                     np.zeros((3, 0)), (4, 4, 4))
-    coarse = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 1]]),
-                                      ad.parameter(r.normal(size=(2, 3))), (2, 2, 2))
+    coarse = sparse.strided_conv3d(fine, ad.Tensor(np.zeros((27, 0, 3))), ad.Tensor(np.zeros(3)))
+    assert coarse.coords.tolist() == [[0, 0, 0], [1, 1, 1]]
+    coarse = coarse.with_features(ad.parameter(r.normal(size=(2, 3))))
     w_up = ad.constant(r.normal(size=(3, 2)))
     k_up = ad.parameter(r.normal(size=(27, 3, 2)))
     b_up = ad.parameter(r.normal(size=2))

@@ -73,6 +73,13 @@ def test_config_roundtrip_and_types(tmp_path):
     assert cfg["model.vfe_widths"] == (4, 4)
     assert cfg["augment.enabled"] is True
     assert cfg["train.peak_lr"] == pytest.approx(1e-4)
+    # an int widens to a float, and a bare value to a 1-tuple
+    p.write_text("train.peak_lr = 1\nscene.extent_min = -8,-8,0\nmodel.vfe_widths = 8\n")
+    cfg = cf.load_config(p)
+    assert type(cfg["train.peak_lr"]) is float and cfg["train.peak_lr"] == 1.0
+    assert cfg["scene.extent_min"] == (-8.0, -8.0, 0.0)
+    assert all(type(x) is float for x in cfg["scene.extent_min"])
+    assert cfg["model.vfe_widths"] == (8,)
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -95,6 +102,32 @@ def test_reference_attention_hyperparameters():
     assert cfg["model.cross_task.heads"] == 4
     assert cfg["model.cross_task.head_dim"] == 32
     assert cfg["model.cross_task.ffn"] == 64
+
+
+@pytest.mark.parametrize("line,message", [
+    ("train.steps = 2.5", "train.steps: expected an integer, got 2.5"),
+    ("train.steps = true", "train.steps: expected an integer, got True"),
+    ("train.steps = 1,2", "train.steps: expected an integer, got (1, 2)"),
+    ("model.base_channels = 16.0", "model.base_channels: expected an integer, got 16.0"),
+    ("detect.max_boxes = 3.7", "detect.max_boxes: expected an integer, got 3.7"),
+    ("train.log_every = ten", "train.log_every: expected an integer, got 'ten'"),
+    ("train.peak_lr = fast", "train.peak_lr: expected a number, got 'fast'"),
+    ("train.grad_clip = false", "train.grad_clip: expected a number, got False"),
+    ("data.path = 3", "data.path: expected a string, got 3"),
+    ("model.vfe_widths = 16,16.5", "model.vfe_widths: expected an integer, got 16.5"),
+    ("scene.extent_min = -8,-8,low", "scene.extent_min: expected a number, got 'low'"),
+    ("augment.enabled = 1", "augment.enabled: expected true/false, got 1"),
+])
+def test_mistyped_config_value_fails_naming_its_key(tmp_path, capsys, line, message):
+    cfg_file, ckpt = tmp_path / "c.cfg", tmp_path / "m.ckpt"
+    cfg_file.write_text(line + "\n")
+    with pytest.raises(cf.ConfigError) as err:
+        cf.load_config(cfg_file)
+    assert str(err.value) == message
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(ckpt),
+                     "--data", str(tmp_path / "d.bin")]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not ckpt.exists()
 
 
 def test_config_hash_stable_and_sensitive():
@@ -531,7 +564,6 @@ def test_rulebooks_are_built_once_per_frame(monkeypatch):
     assert model.grid.dims == (64, 64, 8)
     spec = cli.scene_spec_from_config(cfg)
     scenes = [data.generate_scene(2_000_003 + j, spec, frame_id=j) for j in range(2)]
-    monkeypatch.setattr(sparse, "_FRAMES", {})
     calls = []
     build = sparse._rulebook
     monkeypatch.setattr(sparse, "_rulebook", lambda *a: calls.append(a) or build(*a))
@@ -544,6 +576,39 @@ def test_rulebooks_are_built_once_per_frame(monkeypatch):
     for new, again in zip(outs[:2], outs[2:]):
         for name in ("seg_logits", "heatmap", "reg_map", "aux_logits"):
             assert np.array_equal(getattr(new, name).data, getattr(again, name).data)
+
+
+def memo_index_bytes(memo: dict) -> int:
+    """Bytes of the index arrays a frame memo holds, its child sets' memos
+    included. Keys: 1 the submanifold rulebook; 2 (child coords, child keys,
+    stride-2 rulebook, child memo); -2 the stride-2 rulebook transposed."""
+    size = 0
+    for key, pairs in memo.items():
+        if key == 2:
+            coords, keys, pairs, child = pairs
+            size += coords.nbytes + keys.nbytes + memo_index_bytes(child)
+        size += sum(a.nbytes + b.nbytes for a, b in filter(None, pairs))
+    return size
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"augment.enabled": True, "frames.history": 1, "frames.jitter": 0.02},
+    {"scene.extent_min": (-16.0, -16.0, 0.0), "scene.extent_max": (16.0, 16.0, 4.0),
+     "scene.objects_per_class": (6, 4, 4, 4)},
+], ids=["train-revisit", "train-augment", "infer-large"])
+def test_a_frames_rulebooks_hold_30_to_45_bytes_per_key_byte(overrides):
+    """The frame cache budgets the key bytes of its frames in place of the
+    rulebook bytes they key; on the bench configs one stands for the other."""
+    cfg = cf.load_config(overrides=overrides)
+    model = Model(cfg)
+    spec = cli.scene_spec_from_config(cfg)
+    with ad.no_grad():
+        for step in range(3):
+            scene = data.generate_scene(1_000_003 + step, spec, frame_id=step)
+            model.forward(tr.training_view(scene, cfg, step, cfg["train.seed"]))
+    ratios = [memo_index_bytes(memo) / len(key[1]) for key, memo in sparse._FRAMES.items()]
+    assert len(ratios) == 3 and all(30 <= x <= 45 for x in ratios), ratios
 
 
 def test_load_model_draws_no_initial_values(tmp_path, monkeypatch):
@@ -822,6 +887,17 @@ def test_cli_rejects_sample_index_outside_dataset(tmp_path, capsys, command, ind
                      str(tmp_path / "d.bin"), "--index", str(index), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: IndexError: sample index {index} outside 0..1\n"
     assert not out.exists()
+
+
+def test_gen_data_rejects_an_empty_seed_range(tmp_path, capsys):
+    spec, out = tmp_path / "spec.cfg", tmp_path / "scenes.bin"
+    spec.write_text("")
+    assert cli.main(["gen-data", "--spec", str(spec), "--seeds", "5..3",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: ValueError: empty seed range '5..3': 3 is below 5\n"
+    assert not out.exists()
+    assert list(cli._parse_seed_range("3..5")) == [3, 4, 5]
+    assert list(cli._parse_seed_range("7")) == [7]
 
 
 def test_cli_error_exit_code_and_message(tmp_path, capsys):

@@ -34,6 +34,14 @@ def sites(coords, shape):
     return sparse.SparseVoxelTensor(coords, np.zeros((len(coords), 0)), shape)
 
 
+def strided_sites(fine):
+    """The zero-channel coarse tensor strided_conv3d makes from `fine`: the one
+    coarse set an upsample onto fine's sites takes."""
+    taps = sparse.live_taps(fine.spatial_shape, tuple(s // 2 for s in fine.spatial_shape), 2)
+    return sparse.strided_conv3d(fine, ad.Tensor(np.zeros((len(taps), fine.num_channels, 0))),
+                                 ad.Tensor(np.zeros(0)))
+
+
 def rulebook_of(conv, *tensors):
     """The per-tap pairs conv(*tensors, kernel, bias) hands to tap_matmul_scatter."""
     with mock.patch.object(ad, "tap_matmul_scatter",
@@ -162,11 +170,12 @@ def test_conv_gradients_match_finite_differences():
 
 def test_upsample_conv_routes_and_grads():
     r = rng(8)
-    coarse = random_sparse(r, shape=(2, 2, 2), n=3, cin=2)
     fine_coords = np.array([[0, 0, 0], [1, 0, 0], [2, 2, 2], [3, 3, 3]])
+    fine = sites(fine_coords, (4, 4, 4))
+    coarse = strided_sites(fine)
+    coarse = coarse.with_features(ad.parameter(r.normal(size=(len(coarse), 2))))
     k = ad.parameter(r.normal(size=(27, 2, 2)))
     b = ad.parameter(r.normal(size=2))
-    fine = sites(fine_coords, (4, 4, 4))
     out = sparse.upsample_conv3d(coarse, fine, k, b)
     np.testing.assert_array_equal(out.coords, fine_coords)
     # every fine site f receives coarse[o] iff 2o + t = f for some tap t
@@ -389,13 +398,13 @@ def test_rulebooks_match_rows_of_reference():
         assert_same_unique_pairs(down, want, len(t))
         # elsewhere the marker stands exactly where the reference rows are the identity
         assert marked_taps(down) == identity_taps(want, len(t), len(coarse))
-        # transposed conv onto the encoder's own fine sites, and onto an
-        # unrelated fine coordinate set (coarse sites with no fine child)
-        for fine in (t, sites(other, shape)):
-            up = rulebook_of(sparse.upsample_conv3d, coarse, fine)
-            want = live_part(rows_of_up_pairs(coarse, fine.coords), down_taps)
-            assert_same_unique_pairs(up, want, len(coarse))
-            assert marked_taps(up) == identity_taps(want, len(coarse), len(fine))
+        # transposed conv back onto the fine sites of each strided conv
+        other = sites(other, shape)
+        for fine, child in ((t, coarse), (other, strided_sites(other))):
+            up = rulebook_of(sparse.upsample_conv3d, child, fine)
+            want = live_part(rows_of_up_pairs(child, fine.coords), down_taps)
+            assert_same_unique_pairs(up, want, len(child))
+            assert marked_taps(up) == identity_taps(want, len(child), len(fine))
 
 
 def assert_same_rulebook(got, want):
@@ -414,38 +423,45 @@ def direct_up_rulebook(coarse, fine):
                             np.maximum(fine.spatial_shape, 2 * np.array(coarse.spatial_shape)))
 
 
-def test_derived_upsample_rulebook_equals_a_direct_build():
-    """The upsample pairs read off the stride-2 relation in the fine memo, and
-    those of fine sites whose relation was built toward another coarse set or
-    never built, equal a direct build array for array and dtype for dtype."""
+def test_derived_upsample_rulebook_equals_a_direct_build(monkeypatch):
+    """The upsample pairs read off the stride-2 relation in the fine memo equal a
+    direct build array for array and dtype for dtype; any other coarse set, even
+    one on the same sites, is a CoordinateError before any rulebook is built."""
+    calls = []
+    build = sparse._rulebook
+    monkeypatch.setattr(sparse, "_rulebook", lambda *a: calls.append(a) or build(*a))
     r = rng(29)
-    cases = []
+    children, strangers = [], []
     for t, other in rulebook_cases():
-        taps = sparse.live_taps(t.spatial_shape, tuple(s // 2 for s in t.spatial_shape), 2)
-        coarse = sparse.strided_conv3d(t, ad.Tensor(np.zeros((len(taps), 2, 2))),
-                                       ad.Tensor(np.zeros(2)))
-        # the child set itself, the same sites on a set of their own, and another set
+        coarse = strided_sites(t)
+        # the child set itself; the same sites on a set of their own, another
+        # set, and the child set over fine sites it was not strided from
         alike = sparse.SparseVoxelTensor(coarse.coords, np.ones((len(coarse), 2)),
                                          coarse.spatial_shape)
         shifted = face_sparse(r, coarse.spatial_shape, 6)
-        cases += [(coarse, t, True), (alike, t, False), (shifted, t, False),
-                  (coarse, sites(other, t.spatial_shape), False)]
-    # even fine sites, one per coarse site, in the same order: tap (0, 0, 0) is the marker
+        children.append((coarse.with_features(np.ones((len(coarse), 2))), t))
+        strangers += [(alike, t), (shifted, t), (coarse, sites(other, t.spatial_shape))]
+    # even fine sites in key order, one per coarse site: tap (0, 0, 0) is the marker
     even = face_sparse(r, (4, 4, 4), 20)
-    cases.append((even, sites(2 * even.coords, (8, 8, 8)), False))
+    fine = sites(sparse.unpack_coords(np.sort(sparse.pack_coords(2 * even.coords, (8, 8, 8))),
+                                      (8, 8, 8)), (8, 8, 8))
+    children.append((strided_sites(fine), fine))
+    strangers.append((even, sites(2 * even.coords, (8, 8, 8))))
     # a fine grid one voxel high under a coarse one: no strided conv makes this pair
-    cases.append((sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 0]]),
-                                           r.normal(size=(2, 2)), (2, 2, 1)),
-                  sites(np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]]), (4, 4, 1)),
-                  False))
-    marked = []
-    for coarse, fine, child in cases:
+    strangers.append((sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 0]]),
+                                               r.normal(size=(2, 2)), (2, 2, 1)),
+                      sites(np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]]), (4, 4, 1))))
+    for coarse, fine in children:
         got = rulebook_of(sparse.upsample_conv3d, coarse, fine)
-        assert (got is fine._memo.get(-2)) == child
+        assert got is fine._memo[-2]
         assert len(got) == len(sparse.live_taps(fine.spatial_shape, coarse.spatial_shape, 2))
         assert_same_rulebook(got, direct_up_rulebook(coarse, fine))
-        marked.append(marked_taps(got))
-    assert marked[-2] == [list(sparse.live_taps((8, 8, 8), (4, 4, 4), 2)).index(13)]
+    assert marked_taps(got) == [list(sparse.live_taps((8, 8, 8), (4, 4, 4), 2)).index(13)]
+    for coarse, fine in strangers:
+        before, entries = len(calls), set(fine._memo)
+        with pytest.raises(sparse.CoordinateError, match="not strided from"):
+            rulebook_of(sparse.upsample_conv3d, coarse, fine)
+        assert len(calls) == before and set(fine._memo) == entries
 
 
 def test_mirrored_submanifold_rulebook_equals_a_full_lookup():
@@ -575,11 +591,11 @@ def test_strided_and_upsample_reject_wrong_kernel_shapes(conv):
 
 
 def test_rulebook_cache_stays_within_its_byte_budget(monkeypatch):
-    """Frame memos leave least recently used first, by their measured bytes; a
-    held frame builds nothing, and one built again gives the same pairs."""
-    budget = 8_000
-    monkeypatch.setattr(sparse, "_FRAMES", {})
-    monkeypatch.setattr(sparse, "_FRAME_CACHE_BYTES", budget)
+    """Frame memos leave least recently used first while the key bytes held pass
+    the budget, checked after every lookup; a held frame builds nothing, and one
+    built again gives the same pairs."""
+    budget = 1_000
+    monkeypatch.setattr(sparse, "_FRAME_KEY_BYTES", budget)
     frames = sparse._FRAMES
     calls = []
     build = sparse._rulebook
@@ -594,10 +610,12 @@ def test_rulebook_cache_stays_within_its_byte_budget(monkeypatch):
         t = sparse.frame_tensor(sets[i], np.ones((len(sets[i]), 2)), shape)
         order = [j for j in order if j != i] + [i]
         assert list(frames) == [keys[j] for j in order[-len(frames):]]   # the stalest go
-        measured = [len(key[1]) + sparse._memo_bytes(memo)
-                    for key, (memo, _size) in list(frames.items())[:-1]]
-        assert measured == [size for _memo, size in list(frames.values())[:-1]]
-        assert sum(measured) <= budget
+        assert frames[keys[i]] is t._memo
+        held_bytes = sum(len(key[1]) for key in frames)
+        assert held_bytes <= budget
+        # the stalest frame left goes only when the next older one would not fit
+        older = [keys[j] for j in order[:-len(frames)]]
+        assert not older or held_bytes + len(older[-1][1]) > budget
         before = len(calls)
         pairs = [rulebook_of(sparse.submanifold_conv3d, t), rulebook_of(sparse.strided_conv3d, t)]
         assert len(calls) - before == (0 if held else 2)
@@ -661,17 +679,16 @@ def upsample_reference(coarse, fine_coords, full, bias):
     return out
 
 
-def test_upsample_rulebook_cache_tells_fine_grid_heights_apart(monkeypatch):
+def test_upsample_rulebook_cache_tells_fine_grid_heights_apart():
     """The same sites on grids of two heights pack to the same key bytes; the
     frame cache still gives each grid its own memo."""
-    monkeypatch.setattr(sparse, "_FRAMES", {})
     r = rng(28)
-    coarse = sparse.SparseVoxelTensor(np.array([[0, 0, 0], [1, 1, 0]]), r.normal(size=(2, 2)),
-                                      (2, 2, 1))
     fine_coords = np.array([[0, 0, 0], [1, 1, 0], [3, 2, 0], [2, 3, 0]])
     full, bias = r.normal(size=(27, 2, 3)), np.zeros(3)
-    for fine_shape in ((4, 4, 2), (4, 4, 1)):   # 18 live taps, then 9
+    for fine_shape in ((4, 4, 4), (4, 4, 2)):   # 27 live taps, then 18
         fine = sparse.frame_tensor(fine_coords, r.normal(size=(4, 2)), fine_shape)
+        coarse = strided_sites(fine)
+        coarse = coarse.with_features(r.normal(size=(len(coarse), 2)))
         sub = sparse.submanifold_conv3d(
             fine, ad.Tensor(full[sparse.live_taps(fine_shape, fine_shape, 1)]), ad.Tensor(bias))
         dense = dense_conv_oracle(fine, full, bias)
