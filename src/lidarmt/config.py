@@ -1,7 +1,8 @@
 """Flat typed key-value configuration with section-prefixed keys.
 
 Files are plain text: `key = value` lines, `#` comments. Values are ints,
-floats, booleans (true/false), comma-separated number tuples, or strings.
+floats, booleans (true/false), comma-separated number tuples, or strings; a
+string-typed key (`data.path`) keeps its value's text as written.
 The canonical serialization of the full (defaults-merged) mapping is hashed
 to pair checkpoints with the configuration that produced them.
 """
@@ -105,8 +106,8 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = parse_value(val)
+        key, val = (part.strip() for part in line.split("=", 1))
+        out[key] = val if isinstance(DEFAULTS.get(key, (None,))[0], str) else parse_value(val)
     return out
 
 

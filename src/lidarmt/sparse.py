@@ -159,10 +159,11 @@ def _rulebook(sources: np.ndarray, queries: np.ndarray, offsets: np.ndarray,
 
 
 def _swap(pair):
-    """One tap's (fine rows, coarse rows) as (coarse rows, fine rows) by fine row;
-    the identity marker (None) maps to itself."""
-    order = pair and np.argsort(pair[0], kind="stable")   # sorted for key-ordered sites
-    return pair and (pair[1][order], pair[0][order])
+    """One tap's (source rows, query rows) as (query rows, source rows); the
+    identity marker (None) maps to itself. On key-ordered sites (every set the
+    model builds) both row arrays already increase, as q -> q + d and
+    c -> 2c + d keep key order, so the result is a lookup's own order."""
+    return pair and (pair[1], pair[0])
 
 
 def submanifold_conv3d(t: SparseVoxelTensor, kernel: ad.Tensor,

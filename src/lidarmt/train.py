@@ -153,7 +153,8 @@ class TrainLog:
 
 def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
           samples: list[SceneSample] | None = None):
-    """Run the optimization; returns (model, TrainLog).
+    """Run the optimization; returns (model, TrainLog). The returned model
+    holds no gradients.
 
     Deterministic given config and data: scenes are visited round-robin and
     all randomness flows from named seeds.
@@ -173,47 +174,52 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
     steps = int(cfg["train.steps"])
     log = TrainLog(per_task={k: [] for k in model.loss_weights.names})
     ema = None
+
+    def train_step(step: int, lr: float) -> tuple:
+        """(loss, pre-clip norm, per-task losses) as floats: the step's graph
+        dies on return, before the next step's forward builds its own."""
+        view = training_view(samples[step % len(samples)], cfg, step, cfg["train.seed"])
+        out = model.forward(view)
+        losses = compute_losses(out, view)
+        total = tasks.uncertainty_combine(losses, model.loss_weights)
+        value = float(total.data)
+        if not math.isfinite(value):
+            if out_ckpt is not None:
+                dump = str(out_ckpt) + ".diverged"
+                save_model(dump, model, opt, cfg, step)
+            term = next((k for k, v in losses.items() if not math.isfinite(v.data)),
+                        "weighted total")
+            raise TrainingDiverged(f"non-finite loss at step {step}: {term}")
+        opt.zero_grad()
+        total.backward()
+        norm = opt.clip_global_norm(cfg["train.grad_clip"])
+        opt.step(lr)
+        return value, norm, {k: float(losses[k].data) for k in model.loss_weights.names}
+
     log_file = open(log_path, "w") if log_path else None
     try:
         for step in range(steps):
-            sample = samples[step % len(samples)]
-            view = training_view(sample, cfg, step, cfg["train.seed"])
-            out = model.forward(view)
-            losses = compute_losses(out, view)
-            total = tasks.uncertainty_combine(losses, model.loss_weights)
-            value = float(total.data)
-            if not math.isfinite(value):
-                if out_ckpt is not None:
-                    dump = str(out_ckpt) + ".diverged"
-                    save_model(dump, model, opt, cfg, step)
-                term = next((k for k, v in losses.items() if not math.isfinite(v.data)),
-                            "weighted total")
-                raise TrainingDiverged(f"non-finite loss at step {step}: {term}")
-            opt.zero_grad()
-            total.backward()
-            norm = opt.clip_global_norm(cfg["train.grad_clip"])
             lr = one_cycle_lr(step, steps, cfg["train.peak_lr"],
                               cfg["train.div_factor"], cfg["train.final_div"],
                               cfg["train.warmup_pct"])
-            opt.step(lr)
-
+            value, norm, per_task = train_step(step, lr)
             ema = value if ema is None else 0.95 * ema + 0.05 * value
             log.steps.append(step)
             log.raw_loss.append(value)
             log.ema_loss.append(ema)
             log.lr.append(lr)
             log.grad_norm.append(norm)
-            for k in model.loss_weights.names:
-                log.per_task[k].append(float(losses[k].data))
+            for k, v in per_task.items():
+                log.per_task[k].append(v)
             if log_file and (step % int(cfg["train.log_every"]) == 0
                              or step == steps - 1):
-                tasks_txt = " ".join(f"{k}={float(losses[k].data):.4f}"
-                                     for k in model.loss_weights.names)
+                tasks_txt = " ".join(f"{k}={v:.4f}" for k, v in per_task.items())
                 log_file.write(f"step={step} lr={lr:.6g} loss={value:.6f} "
                                f"ema={ema:.6f} gnorm={norm:.6g} {tasks_txt}\n")
     finally:
         if log_file:
             log_file.close()
+    opt.zero_grad()
     if out_ckpt is not None:
         save_model(out_ckpt, model, opt, cfg, steps)
     return model, log

@@ -1,7 +1,9 @@
 import ast
+import gc
 import json
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +115,6 @@ def test_reference_attention_hyperparameters():
     ("train.log_every = ten", "train.log_every: expected an integer, got 'ten'"),
     ("train.peak_lr = fast", "train.peak_lr: expected a number, got 'fast'"),
     ("train.grad_clip = false", "train.grad_clip: expected a number, got False"),
-    ("data.path = 3", "data.path: expected a string, got 3"),
     ("model.vfe_widths = 16,16.5", "model.vfe_widths: expected an integer, got 16.5"),
     ("scene.extent_min = -8,-8,low", "scene.extent_min: expected a number, got 'low'"),
     ("augment.enabled = 1", "augment.enabled: expected true/false, got 1"),
@@ -128,6 +129,23 @@ def test_mistyped_config_value_fails_naming_its_key(tmp_path, capsys, line, mess
                      "--data", str(tmp_path / "d.bin")]) == 1
     assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
     assert not ckpt.exists()
+
+
+def test_a_string_key_keeps_its_text_through_a_file_and_a_checkpoint(tmp_path):
+    """data.path is typed by its key: a comma, `true` or digits stay text,
+    and the other keys of the file parse as before."""
+    p, ckpt = tmp_path / "c.cfg", tmp_path / "m.ckpt"
+    for path in ("runs/a,b.bin", "true", "12"):
+        p.write_text(f"data.path = {path}  # comment\nmodel.vfe_widths = 8,8\n")
+        cfg = cf.load_config(p, overrides={k: v for k, v in TINY.items()
+                                           if k != "model.vfe_widths"})
+        assert cfg["data.path"] == path and cfg["model.vfe_widths"] == (8, 8)
+        tr.save_model(ckpt, Model(cfg), None, cfg, step=0)
+        loaded, stored, _ck = tr.load_model(ckpt)
+        assert stored == cfg and cf.config_hash(stored) == cf.config_hash(cfg)
+        assert loaded.cfg["data.path"] == path
+    with pytest.raises(cf.ConfigError, match="^data.path: expected a string, got 3$"):
+        cf.load_config(overrides={"data.path": 3})
 
 
 def test_config_hash_stable_and_sensitive():
@@ -174,6 +192,37 @@ def test_adamw_moves_parameters():
     p["w"].grad = np.array([1.0, -1.0, 0.5])
     opt.step(0.1)
     assert not np.allclose(p["w"].data, 1.0)
+
+
+def test_a_training_steps_graph_is_gone_before_the_next_forward(monkeypatch):
+    """Step k's ForwardOut (and the tape it roots) dies when the step returns,
+    by reference counting alone, before step k+1's forward begins."""
+    samples, cfg = tiny_scenes(2)
+    refs, alive = [], []
+    forward = Model.forward
+
+    def tracked(model, *args, **kwargs):
+        alive.extend(ref() is not None for ref in refs[-1:])
+        out = forward(model, *args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(Model, "forward", tracked)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tr.train(cfg, samples=samples)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(refs) == cfg["train.steps"] and alive == [False] * (len(refs) - 1)
+
+
+def test_the_trained_model_holds_no_gradients():
+    samples, cfg = tiny_scenes(2)
+    model, _log = tr.train(cfg, samples=samples)
+    params = model.parameters()
+    assert params and all(p.grad is None for p in params.values())
 
 
 # -- model forward contracts --------------------------------------------------
@@ -591,12 +640,16 @@ def memo_index_bytes(memo: dict) -> int:
     return size
 
 
-@pytest.mark.parametrize("overrides", [
-    {},
-    {"augment.enabled": True, "frames.history": 1, "frames.jitter": 0.02},
-    {"scene.extent_min": (-16.0, -16.0, 0.0), "scene.extent_max": (16.0, 16.0, 4.0),
-     "scene.objects_per_class": (6, 4, 4, 4)},
-], ids=["train-revisit", "train-augment", "infer-large"])
+BENCH_OVERRIDES = {   # the rulebook-relevant overrides of the bench workloads
+    "train-revisit": {},
+    "train-augment": {"augment.enabled": True, "frames.history": 1, "frames.jitter": 0.02},
+    "infer-large": {"scene.extent_min": (-16.0, -16.0, 0.0),
+                    "scene.extent_max": (16.0, 16.0, 4.0),
+                    "scene.objects_per_class": (6, 4, 4, 4)},
+}
+
+
+@pytest.mark.parametrize("overrides", BENCH_OVERRIDES.values(), ids=BENCH_OVERRIDES.keys())
 def test_a_frames_rulebooks_hold_30_to_45_bytes_per_key_byte(overrides):
     """The frame cache budgets the key bytes of its frames in place of the
     rulebook bytes they key; on the bench configs one stands for the other."""
@@ -609,6 +662,37 @@ def test_a_frames_rulebooks_hold_30_to_45_bytes_per_key_byte(overrides):
             model.forward(tr.training_view(scene, cfg, step, cfg["train.seed"]))
     ratios = [memo_index_bytes(memo) / len(key[1]) for key, memo in sparse._FRAMES.items()]
     assert len(ratios) == 3 and all(30 <= x <= 45 for x in ratios), ratios
+
+
+def memo_taps(memo: dict):
+    """Every non-identity tap of a frame memo and of its child sets' memos."""
+    for key, pairs in memo.items():
+        if key == 2:
+            yield from memo_taps(pairs[3])
+            pairs = pairs[2]
+        yield from filter(None, pairs)
+
+
+@pytest.mark.parametrize("workload", ["train-augment", "infer-large"])
+def test_every_rulebook_tap_of_a_bench_frame_has_increasing_rows(workload):
+    """Voxel and child sites are key-ordered, and q -> q + d and c -> 2c + d keep
+    key order: so every submanifold, strided and upsample tap of a frame's
+    pyramid lists strictly increasing rows on both sides."""
+    cfg = cf.load_config(overrides=BENCH_OVERRIDES[workload])
+    scene = data.generate_scene(1_000_003, cli.scene_spec_from_config(cfg), frame_id=0)
+    with ad.no_grad():
+        Model(cfg).forward(tr.training_view(scene, cfg, 0, cfg["train.seed"]))
+    (memo,) = sparse._FRAMES.values()
+    kinds, child = [], memo
+    for _stage in range(3):   # the three strided convs of the encoder
+        kinds.append(set(child))
+        child = child[2][3]
+    assert kinds == [{1, 2, -2}] * 3 and set(child) == {1}
+    taps = list(memo_taps(memo))
+    assert len(taps) > 100
+    for rows in taps:
+        for side in rows:
+            assert (np.diff(side) > 0).all()
 
 
 def test_load_model_draws_no_initial_values(tmp_path, monkeypatch):
