@@ -98,7 +98,9 @@ class Tensor:
     # -- backward engine ----------------------------------------------------
 
     def backward(self, grad=None):
-        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf."""
+        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf. Leaf
+        grads may share a buffer (a vjp may hand one, or views of it, to several
+        leaves), so nothing writes a grad in place after backward returns."""
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no tape (a constant, or "
                              "computed under no_grad)")
@@ -122,19 +124,11 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.asarray(grad, dtype=np.float64)}
-        roots: set[int] = set()   # buffers that leaf grads already hold
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node._vjp is None:
-                # a vjp may hand one buffer, or views of it, to several leaves; each
-                # leaf must own its grad, as clipping scales grads in place
-                root = g
-                while isinstance(root.base, np.ndarray):
-                    root = root.base
-                g = g.copy() if id(root) in roots else g
-                roots.add(id(root))
                 node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):

@@ -55,7 +55,7 @@ DEFAULTS = {
     "train.weight_decay": (0.01, "decoupled weight decay"),
     "train.beta1": (0.9, "first-moment decay"),
     "train.beta2": (0.99, "second-moment decay"),
-    "train.grad_clip": (10.0, "global gradient-norm clip (0 disables)"),
+    "train.grad_clip": (10.0, "global gradient-norm clip, at least 0 (0 disables)"),
     "train.seed": (0, "training-time randomness seed (augmentation draws)"),
     "train.log_every": (20, "steps between log lines"),
     "detect.threshold": (0.3, "heatmap score threshold for decoding boxes"),

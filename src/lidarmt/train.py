@@ -50,33 +50,35 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
+        self.clip_factor = 1.0
         # C-contiguous whatever the parameter's layout, so step's flat views are views
         self.m = {k: np.zeros(v.data.shape) for k, v in params.items()}
         self.v = {k: np.zeros(v.data.shape) for k, v in params.items()}
-        self._scratch = np.empty((2, BLOCK))
+        self._scratch = np.empty((3, BLOCK))
 
     def zero_grad(self):
+        """Drop every gradient, and with them the recorded clip factor."""
         for p in self.params.values():
             p.grad = None
+        self.clip_factor = 1.0
 
     def clip_global_norm(self, max_norm: float) -> float:
+        """Return the global grad norm, and record the factor `step` scales grads
+        by: max_norm / norm when the norm exceeds max_norm > 0, else 1."""
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
                 total += float(np.vdot(p.grad, p.grad))
         norm = math.sqrt(total)
-        if max_norm > 0 and norm > max_norm:
-            scale = max_norm / (norm + 1e-12)
-            for p in self.params.values():
-                if p.grad is not None:
-                    p.grad *= scale
+        self.clip_factor = max_norm / (norm + 1e-12) if 0 < max_norm < norm else 1.0
         return norm
 
     def step(self, lr: float):
-        """In place, BLOCK floats at a time, bit-identical to the whole-array form."""
+        """In place, BLOCK floats at a time. Bit-identical to the whole-array
+        form stepping on gradients multiplied by the clip factor."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        sa, sb = self._scratch
+        b1, b2, scale = self.beta1, self.beta2, self.clip_factor
+        sa, sb, sg = self._scratch
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -86,6 +88,7 @@ class AdamW:
                 j = i + BLOCK
                 pb, mb, vb, gb = pf[i:j], mf[i:j], vf[i:j], gf[i:j]
                 s1, s2 = sa[:len(pb)], sb[:len(pb)]
+                gb = gb if scale == 1.0 else np.multiply(gb, scale, out=sg[:len(pb)])
                 mb *= b1
                 mb += np.multiply(gb, 1 - b1, out=s1)  # b1*m + (1-b1)*g
                 vb *= b2
@@ -159,9 +162,9 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
     Deterministic given config and data: scenes are visited round-robin and
     all randomness flows from named seeds.
     """
-    for key in ("train.steps", "train.log_every"):
-        if int(cfg[key]) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    for key, low in (("train.steps", 1), ("train.log_every", 1), ("train.grad_clip", 0)):
+        if not cfg[key] >= low:   # a NaN clip would switch clipping off, too
+            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
     if samples is None:
         samples = read_dataset(dataset_path if dataset_path is not None
                                else cfg["data.path"])

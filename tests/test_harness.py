@@ -848,13 +848,18 @@ def test_training_divergence_names_first_non_finite_term(monkeypatch, replace, t
         tr.train(tiny_cfg(**{"train.steps": 2}), samples=samples)
 
 
-@pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("key", ["train.steps", "train.log_every"])
+@pytest.mark.parametrize("key,value", [
+    ("train.steps", 0), ("train.steps", -1), ("train.log_every", 0),
+    ("train.log_every", -1),
+    ("train.grad_clip", -0.5), ("train.grad_clip", math.nan),
+])
 def test_train_rejects_steps_or_log_interval_below_one_before_writing(tmp_path, capsys,
                                                                       key, value):
+    """And a negative train.grad_clip: each fails naming its key, writing nothing."""
     samples, _ = tiny_scenes(1)
     ckpt, logf = tmp_path / "m.ckpt", tmp_path / "train.log"
-    message = f"{key} must be at least 1, got {value}"
+    low = 0 if key == "train.grad_clip" else 1
+    message = f"{key} must be at least {low}, got {value}"
     with pytest.raises(cf.ConfigError, match=f"^{message}$"):
         tr.train(tiny_cfg(**{key: value}), out_ckpt=ckpt, log_path=logf, samples=samples)
     data.write_dataset(samples, tmp_path / "d.bin")

@@ -1,5 +1,6 @@
 """AdamW's blocked in-place update against the whole-array textbook form,
-and global-norm clipping of leaf grads that a vjp handed out shared."""
+and global-norm clipping, which records a factor for the step and leaves the
+leaf grads (shared or not) as backward wrote them."""
 
 import math
 
@@ -60,13 +61,22 @@ def set_grads(params, step, seed):
 
 @pytest.mark.parametrize("lr,wd", [(1e-3, 0.01), (3e-2, 0.0), (0.0, 0.01)])
 def test_blocked_adamw_bit_exact_to_whole_array_form(lr, wd):
+    """Odd steps clip, by a factor below 1, every tensor including the
+    multi-block ones and the non-contiguous "matrix" grad; even steps do not."""
     got, want = make_params(0), make_params(0)
     opt = tr.AdamW(got, weight_decay=wd)
     ref = ReferenceAdamW(want, weight_decay=wd)
     moments = {k: (opt.m[k], opt.v[k]) for k in got}
     for step in range(5):
+        opt.zero_grad()
         set_grads(got, step, seed=1)
         set_grads(want, step, seed=1)
+        wrote = {k: p.grad.copy() for k, p in got.items() if p.grad is not None}
+        if step % 2:
+            opt.clip_global_norm(1e6)
+            assert 0 < opt.clip_factor < 1
+            for k, g in wrote.items():
+                want[k].grad = g * opt.clip_factor
         opt.step(lr)
         ref.step(lr)
         for k in got:
@@ -74,6 +84,8 @@ def test_blocked_adamw_bit_exact_to_whole_array_form(lr, wd):
             np.testing.assert_array_equal(opt.m[k], ref.m[k], err_msg=k)
             np.testing.assert_array_equal(opt.v[k], ref.v[k], err_msg=k)
             assert opt.m[k] is moments[k][0] and opt.v[k] is moments[k][1]
+        for k, g in wrote.items():
+            assert got[k].grad.tobytes() == g.tobytes(), k
     if lr == 0.0:
         np.testing.assert_array_equal(got["seven"].data, make_params(0)["seven"].data)
 
@@ -98,11 +110,36 @@ def test_adamw_updates_non_contiguous_parameter():
     ((3,), lambda a, b: a + b),                       # add hands g to both parents
     ((1, 3), lambda a, b: ad.reshape(a, (3,)) + b),   # and a reshape a view of it
 ])
-def test_clip_scales_leaf_grads_that_a_vjp_shared(a_shape, combine):
+def test_clip_leaves_shared_leaf_grads_as_backward_wrote(a_shape, combine):
     a, b = ad.parameter(np.ones(a_shape)), ad.parameter(np.ones(3))
-    ad.reduce_sum(combine(a, b)).backward()
-    assert not np.shares_memory(a.grad, b.grad)
-    opt = tr.AdamW({"a": a, "b": b})
-    assert opt.clip_global_norm(1.0) == pytest.approx(math.sqrt(6))
-    np.testing.assert_allclose(a.grad, np.full(a_shape, 1 / math.sqrt(6)), rtol=1e-11)
-    np.testing.assert_allclose(b.grad, np.full(3, 1 / math.sqrt(6)), rtol=1e-11)
+    want = {"a": ad.parameter(np.ones(a_shape)), "b": ad.parameter(np.ones(3))}
+    opt, ref = tr.AdamW({"a": a, "b": b}), ReferenceAdamW(want)
+
+    def backward():
+        opt.zero_grad()
+        ad.reduce_sum(combine(a, b)).backward()
+        assert np.shares_memory(a.grad, b.grad)
+        return {"a": a.grad.copy(), "b": b.grad.copy()}
+
+    def step_both(wrote, factor):
+        for k, g in wrote.items():
+            want[k].grad = g * factor
+        opt.step(1e-2)
+        ref.step(1e-2)
+        for k, g in wrote.items():
+            assert opt.params[k].grad.tobytes() == g.tobytes(), k
+            assert opt.params[k].data.tobytes() == want[k].data.tobytes(), k
+            assert opt.m[k].tobytes() == ref.m[k].tobytes(), k
+
+    wrote = backward()
+    norm = opt.clip_global_norm(1.0)
+    assert norm == pytest.approx(math.sqrt(6))
+    assert opt.clip_factor == 1.0 / (norm + 1e-12) < 1
+    step_both(wrote, opt.clip_factor)
+    # after zero_grad: no clip, max_norm = 0, a norm at the limit, and below it
+    for max_norm in (None, 0.0, math.sqrt(6), 10.0):
+        wrote = backward()
+        if max_norm is not None:
+            assert opt.clip_global_norm(max_norm) == norm
+        assert opt.clip_factor == 1.0
+        step_both(wrote, 1.0)
