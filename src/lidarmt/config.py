@@ -53,8 +53,8 @@ DEFAULTS = {
     "train.final_div": (1000.0, "final lr = peak / final_div"),
     "train.warmup_pct": (0.3, "fraction of steps spent warming up to the peak"),
     "train.weight_decay": (0.01, "decoupled weight decay"),
-    "train.beta1": (0.9, "first-moment decay"),
-    "train.beta2": (0.99, "second-moment decay"),
+    "train.beta1": (0.9, "first-moment decay, in [0, 1)"),
+    "train.beta2": (0.99, "second-moment decay, in [0, 1)"),
     "train.grad_clip": (10.0, "global gradient-norm clip, at least 0 (0 disables)"),
     "train.seed": (0, "training-time randomness seed (augmentation draws)"),
     "train.log_every": (20, "steps between log lines"),

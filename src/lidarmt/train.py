@@ -21,7 +21,7 @@ from .model import EmptyFrameError, Model
 
 
 class TrainingDiverged(Exception):
-    """Loss became non-finite; a diagnostic checkpoint is dumped first."""
+    """Loss or gradient became non-finite; a diagnostic checkpoint is dumped first."""
 
 
 def one_cycle_lr(step: int, total: int, peak: float, div_factor: float = 25.0,
@@ -54,7 +54,7 @@ class AdamW:
         # C-contiguous whatever the parameter's layout, so step's flat views are views
         self.m = {k: np.zeros(v.data.shape) for k, v in params.items()}
         self.v = {k: np.zeros(v.data.shape) for k, v in params.items()}
-        self._scratch = np.empty((3, BLOCK))
+        self._scratch = np.empty((2, BLOCK))
 
     def zero_grad(self):
         """Drop every gradient, and with them the recorded clip factor."""
@@ -74,11 +74,15 @@ class AdamW:
         return norm
 
     def step(self, lr: float):
-        """In place, BLOCK floats at a time. Bit-identical to the whole-array
-        form stepping on gradients multiplied by the clip factor."""
+        """p ← p·(1 − lr·λ) − α_t·m / (√v + ε̂), in place, BLOCK floats at a time, with
+        α_t = lr·√(1−β2^t)/(1−β1^t), ε̂ = ε·√(1−β2^t) and the clip factor folded into
+        the moments' constants. Bit-identical to the whole-array form of this formula."""
         self.t += 1
         b1, b2, scale = self.beta1, self.beta2, self.clip_factor
-        sa, sb, sg = self._scratch
+        c1, c2 = (1 - b1) * scale, (1 - b2) * scale * scale
+        root = math.sqrt(1 - b2 ** self.t)
+        alpha, eps, decay = lr * root / (1 - b1 ** self.t), self.eps * root, 1 - lr * self.weight_decay
+        sa, sb = self._scratch
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -88,16 +92,16 @@ class AdamW:
                 j = i + BLOCK
                 pb, mb, vb, gb = pf[i:j], mf[i:j], vf[i:j], gf[i:j]
                 s1, s2 = sa[:len(pb)], sb[:len(pb)]
-                gb = gb if scale == 1.0 else np.multiply(gb, scale, out=sg[:len(pb)])
                 mb *= b1
-                mb += np.multiply(gb, 1 - b1, out=s1)  # b1*m + (1-b1)*g
+                mb += np.multiply(gb, c1, out=s1)
                 vb *= b2
-                vb += np.multiply(np.multiply(gb, 1 - b2, out=s1), gb, out=s1)
-                np.sqrt(np.divide(vb, 1 - b2 ** self.t, out=s1), out=s1)  # sqrt(vhat)
-                s1 += self.eps
-                np.divide(np.divide(mb, 1 - b1 ** self.t, out=s2), s1, out=s2)  # mhat/(..+eps)
-                s2 += np.multiply(pb, self.weight_decay, out=s1)
-                pb -= np.multiply(s2, lr, out=s2)
+                vb += np.multiply(np.multiply(gb, c2, out=s1), gb, out=s1)
+                np.sqrt(vb, out=s1)
+                s1 += eps
+                np.divide(mb, s1, out=s2)
+                s2 *= alpha
+                pb *= decay
+                pb -= s2
             if data is not p.data:  # a non-contiguous parameter, updated in a copy
                 p.data[...] = data
 
@@ -162,9 +166,12 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
     Deterministic given config and data: scenes are visited round-robin and
     all randomness flows from named seeds.
     """
-    for key, low in (("train.steps", 1), ("train.log_every", 1), ("train.grad_clip", 0)):
-        if not cfg[key] >= low:   # a NaN clip would switch clipping off, too
-            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+    # a NaN clip would switch clipping off; AdamW divides by 1 - beta**t and roots it
+    for key, low, high in (("train.steps", 1, None), ("train.log_every", 1, None),
+                           ("train.grad_clip", 0, None), ("train.beta1", 0, 1), ("train.beta2", 0, 1)):
+        if not (cfg[key] >= low and (high is None or cfg[key] < high)):
+            below = "" if high is None else f" and below {high}"
+            raise ConfigError(f"{key} must be at least {low}{below}, got {cfg[key]}")
     if samples is None:
         samples = read_dataset(dataset_path if dataset_path is not None
                                else cfg["data.path"])
@@ -178,6 +185,12 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
     log = TrainLog(per_task={k: [] for k in model.loss_weights.names})
     ema = None
 
+    def diverged(step: int, what: str, name: str):
+        """Dump the last finite parameters, then raise naming the non-finite `what`."""
+        if out_ckpt is not None:
+            save_model(str(out_ckpt) + ".diverged", model, opt, cfg, step)
+        raise TrainingDiverged(f"non-finite {what} at step {step}: {name}")
+
     def train_step(step: int, lr: float) -> tuple:
         """(loss, pre-clip norm, per-task losses) as floats: the step's graph
         dies on return, before the next step's forward builds its own."""
@@ -187,15 +200,16 @@ def train(cfg: dict, dataset_path=None, out_ckpt=None, log_path=None,
         total = tasks.uncertainty_combine(losses, model.loss_weights)
         value = float(total.data)
         if not math.isfinite(value):
-            if out_ckpt is not None:
-                dump = str(out_ckpt) + ".diverged"
-                save_model(dump, model, opt, cfg, step)
             term = next((k for k, v in losses.items() if not math.isfinite(v.data)),
                         "weighted total")
-            raise TrainingDiverged(f"non-finite loss at step {step}: {term}")
+            diverged(step, "loss", term)
         opt.zero_grad()
         total.backward()
         norm = opt.clip_global_norm(cfg["train.grad_clip"])
+        if not math.isfinite(norm):   # NaN would leave the clip at 1, inf set it to 0
+            name = next((k for k, p in params.items() if p.grad is not None
+                         and not np.isfinite(p.grad).all()), "global norm")
+            diverged(step, "gradient", name)
         opt.step(lr)
         return value, norm, {k: float(losses[k].data) for k in model.loss_weights.names}
 

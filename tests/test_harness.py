@@ -848,6 +848,44 @@ def test_training_divergence_names_first_non_finite_term(monkeypatch, replace, t
         tr.train(tiny_cfg(**{"train.steps": 2}), samples=samples)
 
 
+@pytest.mark.parametrize("bad,named", [(np.nan, None), (np.inf, None), (1e200, "global norm")])
+def test_non_finite_gradient_under_a_finite_loss_stops_before_the_update(
+        tmp_path, monkeypatch, bad, named):
+    """A NaN norm would leave the clip factor at 1, and inf·0 is NaN too: both
+    would reach the parameters. Step 1's backward writes `bad` into one leaf;
+    1e200 is finite, but its square overflows the norm."""
+    samples, _ = tiny_scenes(1)
+    opts, calls, names, before = [], [], [], {}
+    real_init, real_backward = tr.AdamW.__init__, ad.Tensor.backward
+
+    def init(self, *args, **kw):
+        real_init(self, *args, **kw)
+        opts.append(self)
+
+    def backward(self):
+        real_backward(self)
+        calls.append(1)
+        if len(calls) == 2:
+            params = opts[0].params
+            before.update({k: p.data.copy() for k, p in params.items()})
+            names[:] = [k for k, p in params.items() if p.grad is not None]
+            p = params[names[len(names) // 2]]
+            p.grad = p.grad.copy()   # leaves may share a gradient buffer
+            p.grad.flat[p.grad.size // 2] = bad
+
+    monkeypatch.setattr(tr.AdamW, "__init__", init)
+    monkeypatch.setattr(ad.Tensor, "backward", backward)
+    ckpt = tmp_path / "m.ckpt"
+    with pytest.raises(tr.TrainingDiverged) as err:
+        tr.train(tiny_cfg(**{"train.steps": 3}), samples=samples, out_ckpt=ckpt)
+    assert str(err.value) == f"non-finite gradient at step 1: {named or names[len(names) // 2]}"
+    assert len(calls) == 2 and opts[0].t == 1
+    dumped = ck.load_checkpoint(str(ckpt) + ".diverged").params
+    for k, p in opts[0].params.items():
+        assert p.data.tobytes() == before[k].tobytes() == dumped[k].tobytes(), k
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("train.steps", 0), ("train.steps", -1), ("train.log_every", 0),
     ("train.log_every", -1),
@@ -868,6 +906,28 @@ def test_train_rejects_steps_or_log_interval_below_one_before_writing(tmp_path, 
                      "--data", str(tmp_path / "d.bin"), "--log", str(logf)]) == 1
     assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
     assert not ckpt.exists() and not logf.exists()
+
+
+@pytest.mark.parametrize("key", ["train.beta1", "train.beta2"])
+@pytest.mark.parametrize("value", [-0.1, 1.0, 1.5, math.nan])
+def test_train_rejects_a_beta_outside_0_to_1_before_writing(tmp_path, key, value):
+    """β = 1 would divide by zero in AdamW's bias correction, β2 > 1 root a
+    negative and β < 0 flip the moments' sign."""
+    samples, _ = tiny_scenes(1)
+    ckpt, logf = tmp_path / "m.ckpt", tmp_path / "train.log"
+    with pytest.raises(cf.ConfigError,
+                       match=f"^{key} must be at least 0 and below 1, got {value}$"):
+        tr.train(tiny_cfg(**{key: value}), out_ckpt=ckpt, log_path=logf, samples=samples)
+    assert not ckpt.exists() and not logf.exists()
+
+
+@pytest.mark.parametrize("key", ["train.beta1", "train.beta2"])
+@pytest.mark.parametrize("value", [0.0, 0.999])
+def test_train_accepts_a_beta_at_either_end_of_0_to_1(key, value):
+    samples, _ = tiny_scenes(1)
+    model, log = tr.train(tiny_cfg(**{key: value, "train.steps": 2}), samples=samples)
+    assert all(math.isfinite(x) for x in log.raw_loss + log.grad_norm)
+    assert all(np.isfinite(p.data).all() for p in model.parameters().values())
 
 
 # -- offsets -------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""AdamW's blocked in-place update against the whole-array textbook form,
-and global-norm clipping, which records a factor for the step and leaves the
-leaf grads (shared or not) as backward wrote them."""
+"""AdamW's blocked in-place update byte for byte against the whole-array form
+of its folded formula, and within rounding of the textbook form; and global-norm
+clipping, which records a factor for the step and leaves the leaf grads (shared
+or not) as backward wrote them."""
 
 import math
 
@@ -12,7 +13,9 @@ from lidarmt import train as tr
 
 
 class ReferenceAdamW:
-    """Whole-array AdamW (Loshchilov & Hutter), one temporary per operation."""
+    """Whole-array AdamW, one temporary per operation, in the folded form
+    `AdamW.step` takes: the bias corrections in α_t and ε̂, decoupled weight
+    decay as one factor, and the clip factor in the moments' constants."""
 
     def __init__(self, params, beta1=0.9, beta2=0.99, eps=1e-8, weight_decay=0.01):
         self.params = params
@@ -22,13 +25,32 @@ class ReferenceAdamW:
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
-    def step(self, lr):
+    def step(self, lr, clip_factor=1.0):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, s = self.beta1, self.beta2, clip_factor
+        root = math.sqrt(1 - b2 ** self.t)
+        alpha, eps_hat = lr * root / (1 - b1 ** self.t), self.eps * root
         for k, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
+            self.m[k] = b1 * self.m[k] + g * ((1 - b1) * s)
+            self.v[k] = b2 * self.v[k] + g * ((1 - b2) * s * s) * g
+            p.data[...] = (p.data * (1 - lr * self.weight_decay)
+                           - self.m[k] / (np.sqrt(self.v[k]) + eps_hat) * alpha)
+
+
+class TextbookAdamW(ReferenceAdamW):
+    """Loshchilov & Hutter as written: per-element bias corrections and decay
+    inside the step, on gradients already multiplied by the clip factor."""
+
+    def step(self, lr, clip_factor=1.0):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad * clip_factor
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             mhat = self.m[k] / (1 - b1 ** self.t)
@@ -59,14 +81,14 @@ def set_grads(params, step, seed):
     assert not params["matrix"].grad.flags.c_contiguous
 
 
-@pytest.mark.parametrize("lr,wd", [(1e-3, 0.01), (3e-2, 0.0), (0.0, 0.01)])
-def test_blocked_adamw_bit_exact_to_whole_array_form(lr, wd):
-    """Odd steps clip, by a factor below 1, every tensor including the
-    multi-block ones and the non-contiguous "matrix" grad; even steps do not."""
+def paired_steps(reference, lr, wd):
+    """Step `AdamW` and `reference` side by side for 5 steps on the same grads,
+    yielding after each. Odd steps clip, by a factor below 1, every tensor
+    including the multi-block ones and the non-contiguous "matrix" grad; even
+    steps do not."""
     got, want = make_params(0), make_params(0)
     opt = tr.AdamW(got, weight_decay=wd)
-    ref = ReferenceAdamW(want, weight_decay=wd)
-    moments = {k: (opt.m[k], opt.v[k]) for k in got}
+    ref = reference(want, weight_decay=wd)
     for step in range(5):
         opt.zero_grad()
         set_grads(got, step, seed=1)
@@ -75,10 +97,19 @@ def test_blocked_adamw_bit_exact_to_whole_array_form(lr, wd):
         if step % 2:
             opt.clip_global_norm(1e6)
             assert 0 < opt.clip_factor < 1
-            for k, g in wrote.items():
-                want[k].grad = g * opt.clip_factor
         opt.step(lr)
-        ref.step(lr)
+        ref.step(lr, opt.clip_factor)
+        yield got, want, opt, ref, wrote
+
+
+LR_WD = [(1e-3, 0.01), (3e-2, 0.0), (0.0, 0.01)]
+
+
+@pytest.mark.parametrize("lr,wd", LR_WD)
+def test_blocked_adamw_bit_exact_to_whole_array_form(lr, wd):
+    moments = None
+    for got, want, opt, ref, wrote in paired_steps(ReferenceAdamW, lr, wd):
+        moments = moments or {k: (opt.m[k], opt.v[k]) for k in got}
         for k in got:
             np.testing.assert_array_equal(got[k].data, want[k].data, err_msg=k)
             np.testing.assert_array_equal(opt.m[k], ref.m[k], err_msg=k)
@@ -88,6 +119,22 @@ def test_blocked_adamw_bit_exact_to_whole_array_form(lr, wd):
             assert got[k].grad.tobytes() == g.tobytes(), k
     if lr == 0.0:
         np.testing.assert_array_equal(got["seven"].data, make_params(0)["seven"].data)
+
+
+@pytest.mark.parametrize("lr,wd", LR_WD)
+def test_blocked_adamw_within_rounding_of_the_textbook_form(lr, wd):
+    """The folded scalars move only rounding, by at most 2e-15 (about 9 ulps)
+    of each quantity's scale: the parameters' largest value in the tensor
+    (they share one N(0, 1) scale), v itself, and for m, whose signed sums
+    cancel, its magnitude Σ β1^i (1−β1)|g_i|, while the grads span 1e-12 to 1e6."""
+    m_abs = {}
+    for got, want, opt, ref, wrote in paired_steps(TextbookAdamW, lr, wd):
+        for k, g in wrote.items():
+            m_abs[k] = 0.9 * m_abs.get(k, 0.0) + 0.1 * np.abs(g) * opt.clip_factor
+            assert np.max(np.abs(got[k].data - want[k].data)) <= 2e-15 * np.max(np.abs(want[k].data)), k
+            assert np.all(np.abs(opt.m[k] - ref.m[k]) <= 2e-15 * m_abs[k]), k
+            np.testing.assert_allclose(opt.v[k], ref.v[k], rtol=2e-15, atol=0, err_msg=k)
+        np.testing.assert_array_equal(got["skip"].data, want["skip"].data)
 
 
 def test_adamw_updates_non_contiguous_parameter():
@@ -123,9 +170,9 @@ def test_clip_leaves_shared_leaf_grads_as_backward_wrote(a_shape, combine):
 
     def step_both(wrote, factor):
         for k, g in wrote.items():
-            want[k].grad = g * factor
+            want[k].grad = g
         opt.step(1e-2)
-        ref.step(1e-2)
+        ref.step(1e-2, factor)
         for k, g in wrote.items():
             assert opt.params[k].grad.tobytes() == g.tobytes(), k
             assert opt.params[k].data.tobytes() == want[k].data.tobytes(), k
