@@ -63,8 +63,8 @@ class AdamW:
         self.clip_factor = 1.0
 
     def clip_global_norm(self, max_norm: float) -> float:
-        """Return the global grad norm, and record the factor `step` scales grads
-        by: max_norm / norm when the norm exceeds max_norm > 0, else 1."""
+        """Return the global grad norm, and record the clip factor `step` folds into
+        its moment constants: max_norm / norm when it exceeds max_norm > 0, else 1."""
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:

@@ -5,6 +5,7 @@
 
 Each (workload, seed) is one pair: the parent runs first on even seeds and
 the change first on odd seeds, each from its own checkout, one run at a time.
+The run length is `bench/run.py`'s default, the same for both sides.
 The final JSON line of every run goes into the output's `runs` list as
 {workload, seed, side, trace, result}. The file is rewritten after every run,
 so an interrupted session keeps what it finished; `--append` adds to an
@@ -81,11 +82,12 @@ def _stats(parent: list, change: list, better: str) -> dict:
     }
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `bench/run.py` run from `checkout`; its final stdout line, parsed."""
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One `bench/run.py` run from `checkout`, at the benchmark's own run length;
+    its final stdout line, parsed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -109,7 +111,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-4"))
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--append", action="store_true")
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for seed in args.seeds:
             for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
-                result = run_bench(checkouts[side], workload, seed, args.seconds, args.trace)
+                result = run_bench(checkouts[side], workload, seed, args.trace)
                 doc["runs"].append({"workload": workload, "seed": seed, "side": side,
                                     "trace": args.trace, "result": result})
                 doc["summary"] = summarize(doc["runs"], better)
